@@ -16,8 +16,9 @@ Two halves, both CI-gated (the ``obs-smoke`` job)::
 2. **Enabled-journal overhead** on the same kernel: the flight recorder
    is *always on* in production, so its cost on the hot loop is gated at
    the same < 2% bar.  Kernel A runs with ``JOURNAL.enabled`` (the
-   production default: sampled chrono events, restart/DB-reduction
-   events), kernel B with the journal off; interleaved rounds, best-of.
+   production default), kernel B with the journal off; interleaved
+   rounds, best-of.  The SAT core records no journal events, so this
+   bounds what the always-on recorder costs code that never calls it.
 
 3. **Live-server scrape**: boots the HTTP service on an ephemeral port,
    grades a wrong query with ``"trace": true``, asserts the returned span
@@ -128,12 +129,9 @@ def measure_overhead():
 def measure_journal_overhead():
     """Interleaved best-of throughput: journal enabled vs disabled.
 
-    Both sides run the pristine kernel through the *instrumented* SAT
-    core (restart/DB-reduction events, chrono sampling every
-    ``CHRONO_SAMPLE`` backtracks); the only difference is the
-    ``JOURNAL.enabled`` flag -- so this measures what always-on flight
-    recording costs production, not what the instrumentation costs
-    relative to an uninstrumented build.
+    Both sides run the pristine kernel; the only difference is the
+    ``JOURNAL.enabled`` flag, so this measures what always-on flight
+    recording costs the solver's hot loop in production.
     """
     assert not TRACER.enabled, "tracer must be disabled for the A/B run"
     kernel = lambda: sat_conjunctive_kernel(SatSolver)  # noqa: E731

@@ -1,19 +1,17 @@
 """Micro-benchmarks for the solver stack: SAT core, SMT facade, MinFix.
 
-Times the kernels that gate every Qr-Hint figure benchmark and writes the
-results to ``BENCH_solver.json`` at the repository root (ops/sec per
-kernel), so the perf trajectory stays machine-readable across PRs::
+Times the solver-layer kernels and writes the results to
+``BENCH_solver.json`` at the repository root (ops/sec per kernel)::
 
     PYTHONPATH=src python benchmarks/bench_solver_micro.py
 
 The conjunctive-query SAT kernel is also run against a faithful copy of
 the seed recursive DPLL (kept below as ``SeedDpllSolver``) and the speedup
-of the CDCL engine over it is reported and asserted (>= 3x).
+of the CDCL engine over it is reported.
 
-The script doubles as the CI perf-regression smoke: before overwriting
-``BENCH_solver.json`` it loads the committed numbers and fails if the
-``sat_conjunctive`` throughput fell below ``MIN_REGRESSION_RATIO`` (0.5x)
-of the committed value.
+These are diagnostics, not gates: SAT search is under 0.5% of every
+end-to-end grading workload (``perfbench/``), so the kernels do not
+predict end-to-end time, and ``repro perfdiff`` tracks them ungated.
 """
 
 from __future__ import annotations
@@ -33,19 +31,11 @@ from repro.logic.terms import add, const, intvar
 from repro.solver import Solver
 from repro.solver.sat import SatSolver
 
-_ROOT = pathlib.Path(__file__).parent.parent
-#: Committed baseline (read for the regression gate) vs. output path
-#: (redirected by ``repro perfdiff`` via ``$BENCH_OUT_DIR`` so fresh
-#: runs never clobber the committed file).
-COMMITTED_PATH = _ROOT / "BENCH_solver.json"
+#: Output path (redirected by ``repro perfdiff`` via ``$BENCH_OUT_DIR`` so
+#: fresh runs never clobber the committed file).
 OUT_PATH = pathlib.Path(
-    os.environ.get("BENCH_OUT_DIR") or _ROOT
+    os.environ.get("BENCH_OUT_DIR") or pathlib.Path(__file__).parent.parent
 ) / "BENCH_solver.json"
-
-#: CI gate: fail when sat_conjunctive drops below this fraction of the
-#: committed BENCH_solver.json value (0.5x allows for runner-speed skew
-#: while still catching real order-of-magnitude regressions).
-MIN_REGRESSION_RATIO = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -193,44 +183,6 @@ def sat_conjunctive_kernel(solver_cls):
     return calls
 
 
-ENUM_ATOMS = 9  # free atoms of the chrono-enumeration kernel
-ENUM_CHAIN = 24  # unit-forced auxiliary chain re-derived per model
-
-
-def sat_enumeration_chrono_kernel():
-    """Full model enumeration (chrono backtracking + trail saving), 9 atoms.
-
-    Enumerates every model of nine atom variables under four pair
-    implications (``x1 -> x2`` etc., so propagation interleaves with the
-    blocking clauses) plus a 24-step unit-forced auxiliary chain.  The
-    kernel asserts the model count (3^4 * 2 = 162) and that the
-    chronological path actually engaged; throughput is reported as
-    enumeration rounds per second (one round = 162 models + final UNSAT).
-    """
-    solver = SatSolver()
-    solver.ensure_vars(ENUM_ATOMS + ENUM_CHAIN)
-    solver.add_clause([ENUM_ATOMS + 1])
-    for i in range(1, ENUM_CHAIN):
-        solver.add_clause([-(ENUM_ATOMS + i), ENUM_ATOMS + i + 1])
-    for i in range(0, ENUM_ATOMS - 1, 2):
-        solver.add_clause([-(i + 1), i + 2])
-    models = 0
-    while True:
-        model = solver.solve()
-        if model is None:
-            break
-        models += 1
-        solver.add_clause(
-            [-v if model[v] else v for v in range(1, ENUM_ATOMS + 1)]
-        )
-    expected = 3 ** (ENUM_ATOMS // 2) * 2 ** (ENUM_ATOMS % 2)
-    assert models == expected, f"enumerated {models}, expected {expected}"
-    assert solver.stats["chrono_backtracks"] > 0, (
-        "chronological backtracking never engaged"
-    )
-    return models
-
-
 A, B, C, D, E, F = (intvar(n) for n in "ABCDEF")
 _CHAIN_VARS = (A, B, C, D, E, F)
 
@@ -257,8 +209,8 @@ def sat_random3_incremental_kernel(solver_cls=SatSolver):
 
     One persistent solver answers 13 queries whose assumption lists are
     prefixes of a fixed random literal pool, exercising first-UIP
-    learning, restarts, clause-database reduction, and the kept-trail
-    assumption-prefix reuse.  Returns the per-prefix verdicts; sanity
+    learning and the kept-trail assumption-prefix reuse.  Returns the
+    per-prefix verdicts; sanity
     (and determinism) is asserted via UNSAT monotonicity.
     """
     clauses, pool = _random3_instance()
@@ -349,26 +301,7 @@ def _time_kernel(fn, min_seconds=0.6):
             return reps / elapsed, reps
 
 
-#: Kernels gated against the committed BENCH_solver.json numbers.
-GATED_KERNELS = ("sat_conjunctive", "sat_enumeration_chrono")
-
-
-def _committed_baselines():
-    """Gated-kernel ops/sec from the committed BENCH_solver.json."""
-    try:
-        committed = json.loads(COMMITTED_PATH.read_text())
-        kernels = committed["kernels"]
-        return {
-            name: kernels[name]["ops_per_sec"]
-            for name in GATED_KERNELS
-            if name in kernels
-        }
-    except (OSError, KeyError, ValueError):
-        return {}
-
-
 def main():
-    baselines = _committed_baselines()
     results = {}
 
     new_ops, _ = _time_kernel(lambda: sat_conjunctive_kernel(SatSolver))
@@ -380,15 +313,6 @@ def main():
         "ops_per_sec": round(new_ops, 3),
         "seed_dpll_ops_per_sec": round(seed_ops, 3),
         "speedup_vs_seed": round(speedup, 2),
-    }
-
-    enum_ops, _ = _time_kernel(sat_enumeration_chrono_kernel)
-    enum_models = 3 ** (ENUM_ATOMS // 2) * 2 ** (ENUM_ATOMS % 2)
-    results["sat_enumeration_chrono"] = {
-        "description": sat_enumeration_chrono_kernel.__doc__
-        .strip().splitlines()[0],
-        "ops_per_sec": round(enum_ops, 3),
-        "models_per_sec": round(enum_ops * enum_models, 1),
     }
 
     for name, fn in [
@@ -410,21 +334,6 @@ def main():
                 f"{entry['speedup_vs_seed']:.1f}x speedup)"
             )
         print(line)
-
-    # Gate BEFORE overwriting BENCH_solver.json: a failed run must not
-    # replace the committed baseline with its own regressed numbers.
-    assert speedup >= 3.0, (
-        f"conjunctive SAT kernel speedup {speedup:.2f}x is below the 3x bar"
-    )
-    for name, committed_ops in baselines.items():
-        current = results[name]["ops_per_sec"]
-        ratio = current / committed_ops
-        print(f"  {name} vs committed baseline: {ratio:.2f}x "
-              f"(gate: >= {MIN_REGRESSION_RATIO}x)")
-        assert ratio >= MIN_REGRESSION_RATIO, (
-            f"{name} {current:.1f} ops/s fell below "
-            f"{MIN_REGRESSION_RATIO}x the committed {committed_ops:.1f} ops/s"
-        )
 
     payload = {
         "python": sys.version.split()[0],

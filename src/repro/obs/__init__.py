@@ -29,7 +29,7 @@ from repro.obs.export import (
     parse_prometheus_text,
     service_metric_families,
 )
-from repro.obs.journal import CHRONO_SAMPLE, JOURNAL, Journal
+from repro.obs.journal import JOURNAL, Journal
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -49,7 +49,6 @@ REGISTRY = MetricsRegistry()
 # resolves REGISTRY at call time), so this import must follow REGISTRY.
 from repro.obs.effort import (  # noqa: E402
     EFFORT_KEYS,
-    EffortMeter,
     effort_delta,
     effort_snapshot,
     mean_effort,
@@ -62,9 +61,7 @@ __all__ = [
     "REGISTRY",
     "JOURNAL",
     "Journal",
-    "CHRONO_SAMPLE",
     "EFFORT_KEYS",
-    "EffortMeter",
     "effort_snapshot",
     "effort_delta",
     "mean_effort",

@@ -86,12 +86,10 @@ BENCHMARKS = {
         name="solver",
         filename="BENCH_solver.json",
         command=("benchmarks/bench_solver_micro.py",),
-        metrics=(
-            Metric("kernels.*.ops_per_sec"),
-            Metric("kernels.sat_enumeration_chrono.models_per_sec",
-                   gated=False),
-        ),
-        note="SAT/SMT/MinFix kernel throughput",
+        # Ungated diagnostics: the end-to-end gate is perfbench, and these
+        # kernels (SAT search is < 0.5% of a grade) do not predict it.
+        metrics=(Metric("kernels.*.ops_per_sec", gated=False),),
+        note="SAT/SMT/MinFix kernel throughput (diagnostic)",
     ),
     "service": Benchmark(
         name="service",

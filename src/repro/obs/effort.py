@@ -1,8 +1,8 @@
 """Per-request solver-effort attribution: counter snapshot/delta plumbing.
 
 Wall-clock latency says a grade was slow; *effort* says why: how many
-SAT solves, propagations, conflicts, theory rounds, learned/deleted
-clauses, and unsat cores the solver burned serving it.  This module
+SAT solves, propagations, conflicts, theory rounds, learned clauses,
+and unsat cores the solver burned serving it.  This module
 snapshots the existing ``Solver.stats_snapshot()`` counters around a
 unit of work and reports the delta -- the exact discipline the batch
 workers already use to ship solver counters back to the parent, applied
@@ -37,11 +37,6 @@ EFFORT_KEYS = (
     "theory_cache_hits",
     "cache_hits",
     "learned_clauses",
-    "clauses_deleted",
-    "restarts",
-    "chrono_backtracks",
-    "saved_trail_literals",
-    "literals_minimized",
     "unsat_cores",
     "unsat_core_literals",
     "core_pruned_subtrees",
@@ -59,13 +54,16 @@ def effort_snapshot(solver):
 
 
 def effort_delta(before, after):
-    """``after - before`` per counter; keys ordered as EFFORT_KEYS first."""
+    """``after - before`` per int counter; EFFORT_KEYS first, in order.
+
+    Derived float entries of ``after`` (``cache_hit_rate``) are skipped.
+    """
     out = {}
     for key in EFFORT_KEYS:
         if key in after:
             out[key] = after[key] - before.get(key, 0)
     for key, value in after.items():
-        if key not in out:
+        if key not in out and isinstance(value, int):
             out[key] = value - before.get(key, 0)
     return out
 
@@ -73,32 +71,6 @@ def effort_delta(before, after):
 def nonzero(delta):
     """The nonzero entries of a delta (span attributes, compact JSON)."""
     return {key: value for key, value in delta.items() if value}
-
-
-class EffortMeter:
-    """Context manager capturing one unit of work's counter delta.
-
-    ::
-
-        with EffortMeter(solver) as meter:
-            session.grade(sql)
-        meter.delta  # {"sat_calls": 3, "propagations": 120, ...}
-    """
-
-    def __init__(self, solver):
-        self._solver = solver
-        self._before = None
-        self.delta = {}
-
-    def __enter__(self):
-        self._before = effort_snapshot(self._solver)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.delta = effort_delta(
-            self._before, effort_snapshot(self._solver)
-        )
-        return False
 
 
 def merge_effort(total, delta):

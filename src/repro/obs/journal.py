@@ -13,10 +13,6 @@ Event sources (see ``docs/observability.md``):
 * the artifact cache -- hits, misses, evictions;
 * the cache spiller -- spill start/end (entries, bytes, duration) and
   skipped-idle ticks;
-* the SAT core -- restarts, learned-DB reductions, and sampled
-  chronological-backtrack progress (every
-  :data:`CHRONO_SAMPLE` backtracks, so enumeration-bound solves stay
-  visible without a per-backtrack record);
 * witness generation -- guided-search fallbacks (the solver model path
   failed and the luck-dependent search ran).
 
@@ -24,7 +20,8 @@ Recording discipline: :meth:`Journal.record` is one ``enabled`` check,
 one ``time.time()`` call, one small dict, and one GIL-atomic
 ``deque.append`` -- cheap enough to leave in rare-event call sites of
 hot loops (the CI gate bounds the journal-enabled overhead on the
-``sat_conjunctive`` kernel at < 2%, next to the tracer's gate).  The
+``sat_conjunctive`` kernel at < 2%, next to the tracer's gate; the SAT
+core itself records no events).  The
 buffer is bounded (default 2048 events), so sustained traffic can never
 grow it; old events fall off the far end.
 
@@ -41,10 +38,6 @@ import sys
 import threading
 import time
 from collections import deque
-
-#: One sampled ``solver.chrono`` event per this many chronological
-#: backtracks (power of two: the sample check is a mask, not a modulo).
-CHRONO_SAMPLE = 4096
 
 
 class Journal:

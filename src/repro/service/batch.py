@@ -30,9 +30,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
 from repro.obs import JOURNAL, REGISTRY, TRACER, snapshot_delta
-from repro.obs.effort import EFFORT_KEYS, effort_delta, effort_snapshot
+from repro.obs.effort import (
+    EFFORT_KEYS,
+    effort_delta,
+    effort_snapshot,
+    merge_effort,
+)
 from repro.service.faults import FAULTS
-from repro.service.session import AssignmentSession, _counter_delta
+from repro.service.session import AssignmentSession
 
 _WORKER_RECOVERIES = REGISTRY.counter(
     "repro_worker_recoveries_total",
@@ -131,7 +136,7 @@ def _grade_unique(canonical):
     return (
         report,
         error,
-        _counter_delta(after, before),
+        effort_delta(before, after),
         witness_entry,
         metrics_delta,
         trace_dict,
@@ -144,12 +149,6 @@ def _innermost_frame():
         if line.lstrip().startswith("File "):
             return line.strip()
     return ""
-
-
-def _merge_counters(total, delta):
-    for key, value in delta.items():
-        if isinstance(value, int):
-            total[key] = total.get(key, 0) + value
 
 
 @dataclass
@@ -469,7 +468,7 @@ def grade_batch(
                 report, error, delta, witness_entry, metrics_delta,
                 trace_dict,
             ) = entry
-            _merge_counters(solver_stats, delta)
+            merge_effort(solver_stats, delta)
             REGISTRY.merge(metrics_delta)
             if trace_dict is not None:
                 traces.append(trace_dict)
@@ -480,9 +479,7 @@ def grade_batch(
                 failed[canonical] = error
                 continue
             if effort:
-                # The worker's solver delta for this form, re-keyed into
-                # the stable EFFORT_KEYS reporting order.
-                form_efforts[canonical] = effort_delta({}, delta)
+                form_efforts[canonical] = delta  # the worker's delta
             session.seed(canonical, report)
             session.pipeline_runs += 1
             session.pipeline_elapsed_total += report.elapsed
@@ -518,9 +515,9 @@ def grade_batch(
                 failed[canonical] = (
                     str(exc), type(exc).__name__, _innermost_frame()
                 )
-        _merge_counters(
+        merge_effort(
             solver_stats,
-            _counter_delta(session.solver.stats_snapshot(), before),
+            effort_delta(before, session.solver.stats_snapshot()),
         )
 
     # Serve every submission from the warm cache, preserving input order.

@@ -897,6 +897,14 @@ class HintHTTPServer(ThreadingHTTPServer):
     # instead of a clean shed.
     request_queue_size = 128
 
+    def serve_forever(self, poll_interval=0.05):
+        """``socketserver``'s loop, polling for shutdown every 50 ms.
+
+        ``shutdown()`` (and so :meth:`drain`) waits until the next poll;
+        the inherited 0.5 s default made every server stop wait that long.
+        """
+        super().serve_forever(poll_interval)
+
     def drain(self, timeout=10.0):
         """Graceful shutdown: stop accepting, finish in-flight work.
 

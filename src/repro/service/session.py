@@ -280,14 +280,6 @@ def _disambiguate(inverse, query):
     return extended
 
 
-def _counter_delta(now, baseline):
-    return {
-        key: value - baseline.get(key, 0)
-        for key, value in now.items()
-        if isinstance(value, int)
-    }
-
-
 class AssignmentSession:
     """Grades submissions against one target query, reusing all artifacts.
 
@@ -484,8 +476,9 @@ class AssignmentSession:
 
     def solver_stats(self):
         """Solver counter deltas since this session was created."""
-        snapshot = self.solver.stats_snapshot()
-        delta = _counter_delta(snapshot, self._solver_baseline)
+        delta = effort_delta(
+            self._solver_baseline, self.solver.stats_snapshot()
+        )
         lookups = delta.get("cache_hits", 0) + delta.get("sat_calls", 0)
         delta["cache_hit_rate"] = (
             delta.get("cache_hits", 0) / lookups if lookups else 0.0

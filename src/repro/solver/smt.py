@@ -32,6 +32,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.terms import Term
 from repro.obs import TRACER
+from repro.obs.effort import effort_delta
 from repro.service.faults import FAULTS
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.sat import SatSolver
@@ -50,23 +51,12 @@ _THEORY_CACHE_LIMIT = 200_000
 _CORE_CACHE_LIMIT = 50_000
 
 
-def _block_literals(sat, atom_vars, literals, lemma):
-    """Add the clause forbidding ``literals`` to the SAT core.
-
-    ``lemma=True`` streams it into the deletable learned database -- right
-    for theory conflicts, which are *implied* and re-derivable for free
-    through the theory/core caches if reduction ever drops them.  Blocks
-    that are not theory-implied (e.g. a model whose value extraction
-    failed) must pass ``lemma=False`` to stay permanent.
-    """
-    clause = [
+def _block_literals(sat, atom_vars, literals):
+    """Add the clause forbidding ``literals`` to the SAT core."""
+    sat.add_clause([
         -(atom_vars[atom]) if positive else atom_vars[atom]
         for atom, positive in literals
-    ]
-    if lemma:
-        sat.add_learned_clause(clause)
-    else:
-        sat.add_clause(clause)
+    ])
 
 
 @dataclass
@@ -121,13 +111,8 @@ class Solver:
             "learned_clauses": 0,
             "propagations": 0,
             "conflicts": 0,
-            "restarts": 0,
-            "clauses_deleted": 0,
-            "literals_minimized": 0,
             "unsat_cores": 0,
             "unsat_core_literals": 0,
-            "chrono_backtracks": 0,
-            "saved_trail_literals": 0,
             "core_pruned_subtrees": 0,
         }
 
@@ -277,12 +262,7 @@ class Solver:
                     attempts += 1
                     if attempts >= max_attempts:
                         return None
-                    # An extraction failure is NOT theory-implied (the
-                    # model is theory-consistent); a deletable block could
-                    # be dropped by DB reduction and the identical model
-                    # would resurface, burning the attempts budget.  Block
-                    # it permanently.
-                    _block_literals(sat, atom_vars, literals, lemma=False)
+                    _block_literals(sat, atom_vars, literals)
             raise SolverLimitError("exceeded conflict budget")
         finally:
             self._absorb_sat_stats(sat.stats)
@@ -352,23 +332,17 @@ class Solver:
         stats["learned_clauses"] += sat_stats["learned_clauses"]
         stats["propagations"] += sat_stats["propagations"]
         stats["conflicts"] += sat_stats["conflicts"]
-        stats["restarts"] += sat_stats["restarts"]
-        stats["clauses_deleted"] += sat_stats["deleted_clauses"]
-        stats["literals_minimized"] += sat_stats["minimized_literals"]
         # Failed-assumption cores (incremental feasibility sessions): the
         # pair gives the count and total size, hence the mean core size.
         stats["unsat_cores"] += sat_stats["assumption_cores"]
         stats["unsat_core_literals"] += sat_stats["core_literals"]
-        # Enumeration-path counters from the chronological engine.
-        stats["chrono_backtracks"] += sat_stats["chrono_backtracks"]
-        stats["saved_trail_literals"] += sat_stats["saved_trail_literals"]
 
     def _theory_round(self, sat, atom_vars, literals):
         """One theory-lemma round of the DPLL(T) loop.
 
         Checks the propositional model's literal conjunction against the
-        theory; on conflict the minimized core is blocked as a deletable
-        lemma.  Returns True iff the model was theory-consistent.  The
+        theory; on conflict the minimized core is blocked in the SAT core.
+        Returns True iff the model was theory-consistent.  The
         traced variant records one ``solver.theory_round`` span per round;
         the production path (no active trace) stays span-free.
         """
@@ -376,7 +350,7 @@ class Solver:
             if self._theory_ok(literals):
                 return True
             core = self._shrink_core(literals)
-            _block_literals(sat, atom_vars, core, lemma=True)
+            _block_literals(sat, atom_vars, core)
             return False
         with TRACER.span("solver.theory_round") as span:
             span.set(literals=len(literals))
@@ -385,7 +359,7 @@ class Solver:
                 return True
             core = self._shrink_core(literals)
             span.set(consistent=False, core=len(core))
-            _block_literals(sat, atom_vars, core, lemma=True)
+            _block_literals(sat, atom_vars, core)
             return False
 
     def _theory_ok(self, literals):
@@ -412,9 +386,8 @@ class Solver:
         inconsistent superset is still a sound blocking clause.
 
         Shrunk cores are memoized per literal set (``_core_cache``), so a
-        conflict rediscovered after its lemma was deleted from the learned
-        database -- or re-hit by an incremental feasibility session -- pays
-        no theory calls the second time.
+        conflict re-hit by a later DPLL(T) loop or feasibility session
+        pays no theory calls the second time.
         """
         core = list(literals)
         if len(core) > 24:  # too costly to shrink; block the full assignment
@@ -501,8 +474,8 @@ class FeasibilitySession:
     :class:`SatSolver`; each query solves it under assumptions fixing the
     polarities of the prefix atoms.  Theory conflicts are minimized
     through the owning :class:`Solver` (sharing its literal/core caches)
-    and streamed back as deletable lemmas, so they persist for -- and
-    prune -- every later query of the DFS.
+    and streamed back as clauses, so they persist for -- and prune --
+    every later query of the DFS.
     """
 
     def __init__(self, solver, atoms, context):
@@ -592,12 +565,10 @@ class FeasibilitySession:
             raise SolverLimitError("exceeded conflict budget")
         finally:
             snapshot = dict(sat.stats)
-            delta = {
-                key: snapshot[key] - self._stats_baseline[key]
-                for key in snapshot
-            }
+            solver._absorb_sat_stats(
+                effort_delta(self._stats_baseline, snapshot)
+            )
             self._stats_baseline = snapshot
-            solver._absorb_sat_stats(delta)
 
 
 _DEFAULT_SOLVER = Solver()

@@ -1,10 +1,39 @@
 """Shared fixtures for the test suite."""
 
+import threading
+
 import pytest
 
 from repro.catalog import Catalog
+from repro.service import make_server
 from repro.solver import Solver
 from repro.workloads import beers, dblp, tpch
+
+
+@pytest.fixture()
+def start_server():
+    """``start(**kwargs)`` serves ``make_server(port=0, **kwargs)`` on a
+    thread and returns ``(server, base_url)``.
+
+    At teardown every started server is shut down and closed, and its
+    serving thread must have exited.
+    """
+    started = []
+
+    def start(**kwargs):
+        server = make_server(port=0, **kwargs)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        host, port = server.server_address[:2]
+        return server, f"http://{host}:{port}"
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "serve_forever did not exit"
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,13 @@
-"""Enumeration-path tests for the chronological SAT engine.
+"""Enumeration-path tests for the incremental SAT engine.
 
-Three regression areas for the enumeration rebuild:
+Three regression areas:
 
 * **enumeration equivalence fuzz** -- blocking-clause model enumeration
-  must produce exactly the brute-force model set, never repeat a model,
-  and the one-flip condensation must keep the live blocking set far
-  below the number of enumerated models;
-* **trail-saving invariants** -- add_clause/solve interleavings (with
-  restarts forced on) stay correct, and a pinned scenario exercises the
-  saved-suffix replay (``saved_trail_literals``);
+  must produce exactly the brute-force model set and never repeat a
+  model;
+* **add/solve interleavings** -- clauses added against a kept trail,
+  interleaved with solves under assumptions, never leak a model that
+  violates an added clause;
 * **MinFix core-guided pruning** -- the pruned truth-table DFS yields
   tables and fixes identical to an unpruned run, and the
   ``core_pruned_subtrees`` counter fires on infeasible atom combinations.
@@ -53,46 +52,24 @@ def _random_cnf(rng, num_vars, num_clauses):
     ]
 
 
-def _live_permanent_clauses(solver):
-    """Live permanent clauses surviving condensation (masks per key)."""
-    return sum(len(bucket) for bucket in solver._clause_index.values())
-
-
 def _enumerate_models(solver, num_vars):
-    """All models via blocking clauses; returns (models, max_live)."""
+    """All models via blocking clauses."""
     models = set()
-    max_live = 0
     while True:
         model = solver.solve()
         if model is None:
-            return models, max_live
+            return models
         bits = tuple(model[v] for v in range(1, num_vars + 1))
         assert bits not in models, "enumeration repeated a model"
         models.add(bits)
         solver.add_clause(
             [-v if model[v] else v for v in range(1, num_vars + 1)]
         )
-        max_live = max(max_live, _live_permanent_clauses(solver))
 
 
 class TestEnumerationEquivalenceFuzz:
-    def test_unconstrained_space_condenses(self):
-        # 2^7 models over an empty clause DB.  Condensation must
-        # telescope sibling blocking clauses, so the live blocking set
-        # stays around num_vars instead of growing with every model.
-        n = 7
-        solver = SatSolver()
-        solver.ensure_vars(n)
-        models, max_live = _enumerate_models(solver, n)
-        assert len(models) == 2 ** n
-        assert max_live <= 2 * n, (
-            f"condensation not engaged: {max_live} live blocking clauses"
-        )
-        assert solver.stats["chrono_backtracks"] > 0
-
     def test_fuzz_matches_brute_force(self):
         rng = random.Random(0xE17)
-        condensed = False
         for _ in range(120):
             n = rng.randint(3, 8)
             clauses = _random_cnf(rng, n, rng.randint(1, 2 * n))
@@ -100,57 +77,35 @@ class TestEnumerationEquivalenceFuzz:
             solver.ensure_vars(n)
             for clause in clauses:
                 solver.add_clause(clause)
-            baseline = _live_permanent_clauses(solver)
-            models, max_live = _enumerate_models(solver, n)
-            assert models == _brute_models(clauses, n), clauses
-            if len(models) >= 16 and max_live - baseline < len(models) // 2:
-                condensed = True
-        assert condensed, "no fuzz case exercised condensation"
+            assert _enumerate_models(solver, n) == _brute_models(clauses, n), (
+                clauses
+            )
 
     def test_fuzz_with_restarts_and_reduction_forced(self):
-        # Same equivalence under tiny restart/reduction limits: learned
-        # clauses come and go mid-enumeration, but permanent blocking
-        # clauses (and their condensed resolvents) must keep every
+        # A second seed over smaller instances: learned clauses accumulate
+        # mid-enumeration, and blocking clauses must keep every
         # enumerated model excluded.
         rng = random.Random(0x5EED)
         for _ in range(40):
             n = rng.randint(3, 7)
             clauses = _random_cnf(rng, n, rng.randint(1, 2 * n))
-            solver = SatSolver(restart_base=1, reduce_base=4)
+            solver = SatSolver()
             solver.ensure_vars(n)
             for clause in clauses:
                 solver.add_clause(clause)
-            models, _ = _enumerate_models(solver, n)
-            assert models == _brute_models(clauses, n), clauses
+            assert _enumerate_models(solver, n) == _brute_models(clauses, n), (
+                clauses
+            )
 
 
 class TestTrailSavingInvariants:
-    def test_saved_suffix_replay_fires(self):
-        # A clause added against a deep trail becomes unit with shallow
-        # false watches; shrinking the assumption suffix pops its
-        # propagation, but no watch is newly falsified afterwards, so
-        # normal BCP never re-derives it -- only the saved-trail replay
-        # does.  The counter must record that re-propagation.
-        solver = SatSolver()
-        solver.ensure_vars(9)
-        solver.add_clause([7, 8])  # keeps a real decision point in play
-        assert solver.solve([1, 2, 5]) is not None
-        solver.add_clause([-1, -2, 9])  # unit under 1, 2: forces 9
-        model = solver.solve([1, 2, 5])
-        assert model is not None and model[9] is True
-        fired = solver.stats["saved_trail_literals"]
-        model = solver.solve([1, 2, 6])  # pops level 3, replays 9
-        assert model is not None and model[9] is True
-        assert solver.stats["saved_trail_literals"] > fired
-        assert solver.stats["chrono_backtracks"] > 0
-
     def test_add_clause_solve_interleavings_stay_correct(self):
-        # Replayed literals must never leak into a model that violates a
-        # clause added after the trail was saved.
+        # Clauses added against a kept trail must never leak into a model
+        # that violates them.
         rng = random.Random(0x7A11)
         for _ in range(80):
             n = rng.randint(3, 9)
-            solver = SatSolver(restart_base=2, reduce_base=6)
+            solver = SatSolver()
             solver.ensure_vars(n)
             accumulated = []
             counters = dict(solver.stats)

@@ -9,7 +9,6 @@ finishes in-flight work while refusing new work.
 """
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,7 +20,6 @@ from repro.service import (
     AssignmentSession,
     GradeError,
     grade_batch,
-    make_server,
 )
 from repro.service.deadline import Deadline, DeadlineExceeded
 from repro.service.faults import (
@@ -54,14 +52,6 @@ def _post(base, path, payload, timeout=30):
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
-
-
-def _start_server(**kwargs):
-    server = make_server(port=0, **kwargs)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, f"http://{host}:{port}"
 
 
 def _create_assignment(base, **extra):
@@ -196,81 +186,65 @@ class TestDeadlineDegradation:
 
 
 class TestHttpDeadline:
-    def test_timeout_ms_degrades_with_200(self):
+    def test_timeout_ms_degrades_with_200(self, start_server):
         FAULTS.activate("solver.slow", ms=30)
-        server, base = _start_server()
-        try:
-            aid = _create_assignment(base)
-            status, body, _ = _post(
-                base,
-                "/grade",
-                {"assignment_id": aid, "sql": WRONG, "timeout_ms": 10},
-            )
-            assert status == 200
-            assert body["degraded"] is True
-            assert any(
-                hint["kind"] == "degraded"
-                for stage in body["stages"]
-                for hint in stage["hints"]
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
+        _, base = start_server()
+        aid = _create_assignment(base)
+        status, body, _ = _post(
+            base,
+            "/grade",
+            {"assignment_id": aid, "sql": WRONG, "timeout_ms": 10},
+        )
+        assert status == 200
+        assert body["degraded"] is True
+        assert any(
+            hint["kind"] == "degraded"
+            for stage in body["stages"]
+            for hint in stage["hints"]
+        )
 
-    def test_pre_expired_budget_is_408(self):
+    def test_pre_expired_budget_is_408(self, start_server):
         # A microscopic budget expires before the pipeline starts; the
         # request fails fast with 408 instead of doing throwaway work.
-        server, base = _start_server()
-        try:
-            aid = _create_assignment(base)
+        _, base = start_server()
+        aid = _create_assignment(base)
+        status, body, _ = _post(
+            base,
+            "/grade",
+            {"assignment_id": aid, "sql": WRONG, "timeout_ms": 0.001},
+        )
+        assert status == 408
+        assert body["kind"] == "DeadlineExceeded"
+
+    def test_timeout_ms_validation(self, start_server):
+        _, base = start_server()
+        aid = _create_assignment(base)
+        for bad in (-5, 0, "soon"):
             status, body, _ = _post(
                 base,
                 "/grade",
-                {"assignment_id": aid, "sql": WRONG, "timeout_ms": 0.001},
+                {"assignment_id": aid, "sql": WRONG, "timeout_ms": bad},
             )
-            assert status == 408
-            assert body["kind"] == "DeadlineExceeded"
-        finally:
-            server.shutdown()
-            server.server_close()
+            assert status == 400, bad
+            assert "timeout_ms" in body["error"]
 
-    def test_timeout_ms_validation(self):
-        server, base = _start_server()
-        try:
-            aid = _create_assignment(base)
-            for bad in (-5, 0, "soon"):
-                status, body, _ = _post(
-                    base,
-                    "/grade",
-                    {"assignment_id": aid, "sql": WRONG, "timeout_ms": bad},
-                )
-                assert status == 400, bad
-                assert "timeout_ms" in body["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_server_cap_bounds_client_budget(self):
+    def test_server_cap_bounds_client_budget(self, start_server):
         # max_timeout_ms both caps explicit budgets and applies as the
         # default -- with a 1ms cap and a slowed solver every grade
         # degrades, even when the client asked for a huge budget.
         FAULTS.activate("solver.slow", ms=30)
-        server, base = _start_server(max_timeout_ms=1.0)
-        try:
-            aid = _create_assignment(base)
-            status, body, _ = _post(
-                base,
-                "/grade",
-                {"assignment_id": aid, "sql": WRONG, "timeout_ms": 600_000},
-            )
-            assert status == 200 and body.get("degraded") is True
-            status, body, _ = _post(
-                base, "/grade", {"assignment_id": aid, "sql": TARGET}
-            )
-            assert status == 200 and body.get("degraded") is True
-        finally:
-            server.shutdown()
-            server.server_close()
+        _, base = start_server(max_timeout_ms=1.0)
+        aid = _create_assignment(base)
+        status, body, _ = _post(
+            base,
+            "/grade",
+            {"assignment_id": aid, "sql": WRONG, "timeout_ms": 600_000},
+        )
+        assert status == 200 and body.get("degraded") is True
+        status, body, _ = _post(
+            base, "/grade", {"assignment_id": aid, "sql": TARGET}
+        )
+        assert status == 200 and body.get("degraded") is True
 
 
 class TestAdmissionControl:
@@ -304,127 +278,112 @@ class TestAdmissionControl:
         admission.release()
         assert admission.wait_idle(1.0)
 
-    def test_overload_sheds_503_with_retry_after(self):
+    def test_overload_sheds_503_with_retry_after(self, start_server):
         # One slot, no queue, and a solver slowed to ~1s per grade: the
         # second concurrent request must be shed immediately with 503.
         FAULTS.activate("solver.slow", ms=400)
-        server, base = _start_server(
+        server, base = start_server(
             admission=AdmissionController(max_inflight=1, max_queue=0)
         )
-        try:
-            aid = _create_assignment(base)
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                slow = pool.submit(
-                    _post, base, "/grade", {"assignment_id": aid, "sql": WRONG}
-                )
-                # Wait until the slow grade holds the only slot (the
-                # assignment POST was admission #1, so the slow grade is
-                # #2 -- inflight alone could still be the assignment's
-                # not-yet-released slot), then a probe must be shed
-                # immediately instead of queueing.
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    stats = server.admission.stats()
-                    if stats["admitted"] >= 2 and stats["inflight"] >= 1:
-                        break
-                    time.sleep(0.01)
+        aid = _create_assignment(base)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            slow = pool.submit(
+                _post, base, "/grade", {"assignment_id": aid, "sql": WRONG}
+            )
+            # Wait until the slow grade holds the only slot (the
+            # assignment POST was admission #1, so the slow grade is
+            # #2 -- inflight alone could still be the assignment's
+            # not-yet-released slot), then a probe must be shed
+            # immediately instead of queueing.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
                 stats = server.admission.stats()
-                assert stats["admitted"] >= 2 and stats["inflight"] == 1
-                status, body, headers = _post(
-                    base, "/grade", {"assignment_id": aid, "sql": TARGET}
-                )
-                assert status == 503
-                assert body["reason"] == "queue_full"
-                assert headers.get("Retry-After") == "1"
-                status, body, _ = slow.result(timeout=30)
-                assert status == 200  # admitted work is unaffected
+                if stats["admitted"] >= 2 and stats["inflight"] >= 1:
+                    break
+                time.sleep(0.01)
             stats = server.admission.stats()
-            assert stats["shed"]["queue_full"] >= 1
-        finally:
-            server.shutdown()
-            server.server_close()
+            assert stats["admitted"] >= 2 and stats["inflight"] == 1
+            status, body, headers = _post(
+                base, "/grade", {"assignment_id": aid, "sql": TARGET}
+            )
+            assert status == 503
+            assert body["reason"] == "queue_full"
+            assert headers.get("Retry-After") == "1"
+            status, body, _ = slow.result(timeout=30)
+            assert status == 200  # admitted work is unaffected
+        stats = server.admission.stats()
+        assert stats["shed"]["queue_full"] >= 1
 
-    def test_stats_exposes_admission_block(self):
-        server, base = _start_server(
+    def test_stats_exposes_admission_block(self, start_server):
+        _, base = start_server(
             admission=AdmissionController(max_inflight=3, max_queue=2)
         )
-        try:
-            with urllib.request.urlopen(base + "/stats") as resp:
-                stats = json.loads(resp.read())
-            assert stats["admission"]["max_inflight"] == 3
-            assert stats["admission"]["max_queue"] == 2
-            assert stats["admission"]["draining"] is False
-        finally:
-            server.shutdown()
-            server.server_close()
+        with urllib.request.urlopen(base + "/stats") as resp:
+            stats = json.loads(resp.read())
+        assert stats["admission"]["max_inflight"] == 3
+        assert stats["admission"]["max_queue"] == 2
+        assert stats["admission"]["draining"] is False
 
 
 class TestStalledClient:
-    def test_read_timeout_recovers_handler_thread(self):
+    def test_read_timeout_recovers_handler_thread(self, start_server):
         # The client declares a body then never sends it; the server's
         # read timeout must answer 408 (or close) instead of pinning the
         # handler thread forever.
-        server, base = _start_server(read_timeout=0.3)
+        server, base = start_server(read_timeout=0.3)
         host, port = server.server_address[:2]
+        sock = stalled_client_socket(host, port, "/grade")
         try:
-            sock = stalled_client_socket(host, port, "/grade")
-            try:
-                sock.settimeout(10)
-                data = b""
-                while b"\r\n\r\n" not in data:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    data += chunk
-            finally:
-                sock.close()
-            assert b"408" in data.split(b"\r\n", 1)[0]
-            # The server is still healthy for well-behaved clients.
-            with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
-                assert resp.status == 200
+            sock.settimeout(10)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
         finally:
-            server.shutdown()
-            server.server_close()
+            sock.close()
+        assert b"408" in data.split(b"\r\n", 1)[0]
+        # The server is still healthy for well-behaved clients.
+        with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+            assert resp.status == 200
 
 
 class TestGracefulDrain:
-    def test_drain_finishes_inflight_and_refuses_new(self):
+    def test_drain_finishes_inflight_and_refuses_new(self, start_server):
         # Start one slow grade, then drain concurrently: the in-flight
         # request must complete with a full 200 while requests arriving
         # during the drain are shed with 503 "draining".
         FAULTS.activate("solver.slow", ms=200)
-        server, base = _start_server()
-        try:
-            aid = _create_assignment(base)
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                slow = pool.submit(
-                    _post, base, "/grade", {"assignment_id": aid, "sql": WRONG}
-                )
-                # Wait until the slow grade is actually admitted (it
-                # is admission #2; the assignment POST was #1 and its
-                # slot release can lag the client-visible response).
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    stats = server.admission.stats()
-                    if stats["admitted"] >= 2 and stats["inflight"] >= 1:
-                        break
-                    time.sleep(0.01)
+        server, base = start_server()
+        aid = _create_assignment(base)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            slow = pool.submit(
+                _post, base, "/grade", {"assignment_id": aid, "sql": WRONG}
+            )
+            # Wait until the slow grade is actually admitted (it
+            # is admission #2; the assignment POST was #1 and its
+            # slot release can lag the client-visible response).
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
                 stats = server.admission.stats()
-                assert stats["admitted"] >= 2 and stats["inflight"] == 1
-                # Refusals begin the moment draining starts -- probe while
-                # the accept loop is still up (drain() then stops it).
-                server.admission.start_drain()
-                status, body, headers = _post(
-                    base, "/grade", {"assignment_id": aid, "sql": TARGET}
-                )
-                assert status == 503 and body["reason"] == "draining"
-                assert headers.get("Retry-After") == "5"
-                drained = server.drain(30.0)
-                status, body, _ = slow.result(timeout=30)
-                assert status == 200 and not body["all_passed"]
-                assert drained is True
-        finally:
-            server.server_close()
+                if stats["admitted"] >= 2 and stats["inflight"] >= 1:
+                    break
+                time.sleep(0.01)
+            stats = server.admission.stats()
+            assert stats["admitted"] >= 2 and stats["inflight"] == 1
+            # Refusals begin the moment draining starts -- probe while
+            # the accept loop is still up (drain() then stops it).
+            server.admission.start_drain()
+            status, body, headers = _post(
+                base, "/grade", {"assignment_id": aid, "sql": TARGET}
+            )
+            assert status == 503 and body["reason"] == "draining"
+            assert headers.get("Retry-After") == "5"
+            drained = server.drain(30.0)
+            status, body, _ = slow.result(timeout=30)
+            assert status == 200 and not body["all_passed"]
+            assert drained is True
 
 
 class TestWorkerRecovery:

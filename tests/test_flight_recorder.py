@@ -15,10 +15,8 @@ import urllib.request
 import pytest
 
 from repro.catalog import Catalog
-from repro.obs import CHRONO_SAMPLE, JOURNAL, Journal
-from repro.service.server import make_server
+from repro.obs import JOURNAL, Journal
 from repro.service.session import AssignmentSession
-from repro.solver.sat import SatSolver
 from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import generate_witness
 
@@ -137,49 +135,6 @@ class TestJournalCore:
 # Event sources
 
 
-class TestSolverEvents:
-    def test_chrono_events_are_sampled(self):
-        # Enumerating 2**13 models drives thousands of chronological
-        # backtracks; the journal must see roughly backtracks/4096
-        # events, not one per backtrack.
-        JOURNAL.clear()
-        n = 13
-        solver = SatSolver()
-        solver.ensure_vars(n)
-        models = 0
-        while True:
-            model = solver.solve()
-            if model is None:
-                break
-            models += 1
-            solver.add_clause([-v if model[v] else v for v in range(1, n + 1)])
-        assert models == 2**n
-        backtracks = solver.stats["chrono_backtracks"]
-        assert backtracks >= CHRONO_SAMPLE
-        chrono = [e for e in JOURNAL.tail() if e["kind"] == "solver.chrono"]
-        assert 1 <= len(chrono) <= backtracks // CHRONO_SAMPLE + 1
-        assert chrono[-1]["backtracks"] % CHRONO_SAMPLE == 0
-
-    def test_chrono_silent_when_disabled(self):
-        JOURNAL.clear()
-        JOURNAL.enabled = False
-        try:
-            n = 13
-            solver = SatSolver()
-            solver.ensure_vars(n)
-            while True:
-                model = solver.solve()
-                if model is None:
-                    break
-                solver.add_clause(
-                    [-v if model[v] else v for v in range(1, n + 1)]
-                )
-            assert solver.stats["chrono_backtracks"] >= CHRONO_SAMPLE
-        finally:
-            JOURNAL.enabled = True
-        assert len(JOURNAL) == 0
-
-
 class TestCacheEvents:
     def test_miss_then_hit_recorded(self):
         session = AssignmentSession(catalog(), TARGET)
@@ -223,12 +178,8 @@ class TestWitnessEvents:
 
 
 @pytest.fixture()
-def client():
-    server = make_server(port=0)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://{host}:{port}"
+def client(start_server):
+    _, base = start_server()
 
     class Client:
         base = None
@@ -252,11 +203,7 @@ def client():
                 return error.code, json.loads(error.read())
 
     Client.base = base
-    try:
-        yield Client()
-    finally:
-        server.shutdown()
-        server.server_close()
+    return Client()
 
 
 class TestHttpJournal:

@@ -563,19 +563,21 @@ class TestEffortUnits:
         assert "cache_hit_rate" not in snap
 
     def test_meter_and_merge(self):
-        from repro.obs import EffortMeter, merge_effort
+        from repro.obs import effort_delta, merge_effort
         from repro.logic.formulas import Comparison
         from repro.logic.terms import const, intvar
         from repro.solver import Solver
 
         solver = Solver()
         formula = Comparison("<", intvar("x"), const(3))
-        with EffortMeter(solver) as meter:
-            solver.find_model(formula)
-        assert meter.delta["sat_calls"] >= 1
-        total = merge_effort({}, meter.delta)
-        merge_effort(total, meter.delta)
-        assert total["sat_calls"] == 2 * meter.delta["sat_calls"]
+        before = solver.stats_snapshot()
+        solver.find_model(formula)
+        delta = effort_delta(before, solver.stats_snapshot())
+        assert delta["sat_calls"] >= 1
+        assert "cache_hit_rate" not in delta  # derived floats are skipped
+        total = merge_effort({}, delta)
+        merge_effort(total, delta)
+        assert total["sat_calls"] == 2 * delta["sat_calls"]
 
     def test_mean_effort_rounds_per_delta(self):
         from repro.obs import mean_effort

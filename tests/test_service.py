@@ -1,7 +1,6 @@
 """Tests for the service layer: cache, sessions, batch grading, HTTP API."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +16,6 @@ from repro.service import (
     canonical_key,
     canonicalize,
     grade_batch,
-    make_server,
 )
 from repro.service.session import format_report
 from repro.sqlparser.rewrite import parse_query_extended
@@ -297,16 +295,8 @@ class _Client:
 
 
 @pytest.fixture()
-def client():
-    server = make_server(port=0)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield _Client(f"http://{host}:{port}")
-    finally:
-        server.shutdown()
-        server.server_close()
+def client(start_server):
+    return _Client(start_server()[1])
 
 
 SCHEMA = {"Serves": [["bar", "STRING"], ["beer", "STRING"], ["price", "FLOAT"]]}
@@ -394,7 +384,7 @@ class TestHttpServer:
         client.post("/grade", {"assignment_id": aid, "sql": WRONG})
         _, stats = client.get("/stats")
         solver_stats = stats["assignments"][aid]["solver"]
-        for key in ("restarts", "clauses_deleted", "literals_minimized",
+        for key in ("conflicts", "propagations", "unsat_cores",
                     "theory_cache_hits", "learned_clauses"):
             assert key in solver_stats, key
 
@@ -708,7 +698,7 @@ class TestCliSubcommands:
         )
         out = capsys.readouterr().out
         assert code == 0
-        for key in ("restarts", "clauses_deleted", "literals_minimized",
+        for key in ("conflicts", "learned_clauses", "unsat_cores",
                     "theory_cache_hits"):
             assert key in out, key
 
@@ -1029,43 +1019,37 @@ class TestHttpEffort:
 
 
 class TestStatsSpill:
-    def test_stats_reports_spill_block_when_spilling(self, tmp_path):
+    def test_stats_reports_spill_block_when_spilling(self, tmp_path,
+                                                     start_server):
         from repro.service.server import CacheSpiller, HintService
 
         service = HintService()
-        server = make_server(port=0, service=service)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        client = _Client(f"http://{host}:{port}")
-        try:
-            _, created = client.post(
-                "/assignments", {"schema": SCHEMA, "target_sql": TARGET}
-            )
-            aid = created["assignment_id"]
-            # No spiller configured: no spill block.
-            _, stats = client.get("/stats")
-            assert "spill" not in stats
+        server, base = start_server(service=service)
+        client = _Client(base)
+        _, created = client.post(
+            "/assignments", {"schema": SCHEMA, "target_sql": TARGET}
+        )
+        aid = created["assignment_id"]
+        # No spiller configured: no spill block.
+        _, stats = client.get("/stats")
+        assert "spill" not in stats
 
-            session = service.session(aid)
-            spiller = CacheSpiller(
-                session.cache, str(tmp_path / "cache.json"), interval=3600
-            )
-            server.spiller = spiller
-            client.post("/grade", {"assignment_id": aid, "sql": WRONG})
-            spiller.spill()
-            spiller.spill()  # idle: cache unchanged since the last one
-            _, stats = client.get("/stats")
-            spill = stats["spill"]
-            assert spill["count"] == 1
-            assert spill["skipped_idle"] == 1
-            assert spill["last_entries"] >= 1
-            assert spill["last_bytes"] > 0
-            assert spill["last_duration_ms"] >= 0
-            assert spill["interval"] == 3600
-        finally:
-            server.shutdown()
-            server.server_close()
+        session = service.session(aid)
+        spiller = CacheSpiller(
+            session.cache, str(tmp_path / "cache.json"), interval=3600
+        )
+        server.spiller = spiller
+        client.post("/grade", {"assignment_id": aid, "sql": WRONG})
+        spiller.spill()
+        spiller.spill()  # idle: cache unchanged since the last one
+        _, stats = client.get("/stats")
+        spill = stats["spill"]
+        assert spill["count"] == 1
+        assert spill["skipped_idle"] == 1
+        assert spill["last_entries"] >= 1
+        assert spill["last_bytes"] > 0
+        assert spill["last_duration_ms"] >= 0
+        assert spill["interval"] == 3600
 
     def test_spiller_journals_lifecycle_events(self, tmp_path, beers_catalog):
         from repro.obs import JOURNAL

@@ -298,7 +298,7 @@ class TestNonRecursive:
 
 
 class TestFirstUipMachinery:
-    """Restarts, clause-DB reduction, minimization, and model snapshots."""
+    """First-UIP learning and model snapshots."""
 
     def _php(self, holes):
         # Pigeonhole holes+1 into holes: UNSAT with real conflict pressure.
@@ -312,33 +312,6 @@ class TestFirstUipMachinery:
                     clauses.append([-var(i, j), -var(k, j)])
         return clauses, (holes + 1) * holes
 
-    def test_restarts_fire_and_preserve_unsat(self):
-        clauses, n = self._php(5)
-        solver = SatSolver(restart_base=1)  # Luby restarts almost per conflict
-        solver.ensure_vars(n)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve() is None
-        assert solver.stats["restarts"] >= 1
-
-    def test_clause_db_reduction_fires_and_stays_correct(self):
-        clauses, n = self._php(5)
-        solver = SatSolver(reduce_base=20)  # force aggressive deletion
-        solver.ensure_vars(n)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve() is None
-        assert solver.stats["deleted_clauses"] > 0
-
-    def test_minimization_counter_fires(self):
-        clauses, n = self._php(5)
-        solver = SatSolver()
-        solver.ensure_vars(n)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve() is None
-        assert solver.stats["minimized_literals"] > 0
-
     def test_learned_clause_is_not_a_decision_cut(self):
         # First-UIP learning must keep learned clauses no longer than the
         # decision cut; on PHP it learns strictly shorter clauses, which
@@ -348,8 +321,11 @@ class TestFirstUipMachinery:
         solver.ensure_vars(n)
         for clause in clauses:
             solver.add_clause(clause)
+        learned = []
+        learn = solver._learn
+        solver._learn = lambda clause: (learned.append(list(clause)),
+                                        learn(clause))
         assert solver.solve() is None
-        learned = solver._learned_clauses
         assert learned, "expected learned clauses on PHP"
         assert min(len(c) for c in learned) <= 4
 
@@ -370,27 +346,16 @@ class TestFirstUipMachinery:
         model[2] = False
         assert solver.model()[2] is True
 
-    def test_stats_has_new_counters(self):
-        solver = SatSolver()
-        solver.add_clause([1])
-        solver.solve()
-        for key in ("restarts", "deleted_clauses", "minimized_literals"):
-            assert key in solver.stats
-
 
 class TestStressedFuzzAgainstBruteForce:
-    """The oneshot/incremental fuzz, with restarts + reduction forced on."""
+    """More seeds of the oneshot/incremental fuzz, and enumeration."""
 
     def test_oneshot_fuzz_with_tiny_restart_and_reduce_limits(self):
         rng = random.Random(0xD1CE)
         for _ in range(150):
             n = rng.randint(1, 12)
             clauses = _random_cnf(rng, n, rng.randint(1, 4 * n))
-            solver = SatSolver(restart_base=1, reduce_base=4)
-            solver.ensure_vars(n)
-            for clause in clauses:
-                solver.add_clause(clause)
-            model = solver.solve()
+            model = solve_cnf(clauses, n)
             reference = _brute_force(clauses, n)
             assert (model is None) == (reference is None), clauses
             if model is not None:
@@ -403,7 +368,7 @@ class TestStressedFuzzAgainstBruteForce:
         rng = random.Random(0xBEEF)
         for _ in range(60):
             n = rng.randint(3, 10)
-            solver = SatSolver(restart_base=2, reduce_base=6)
+            solver = SatSolver()
             solver.ensure_vars(n)
             accumulated = []
             pool = [rng.choice([1, -1]) * v
@@ -435,10 +400,8 @@ class TestStressedFuzzAgainstBruteForce:
                     previous_sat = True  # the instance changed; reset
 
     def test_model_enumeration_under_reduction_never_repeats(self):
-        # Blocking-clause enumeration with an aggressive reduction cap:
-        # deleting conflict-learned clauses must never re-admit a model
-        # blocked by a (permanent) blocking clause.
-        solver = SatSolver(reduce_base=2)
+        # Blocking-clause enumeration must never re-admit a blocked model.
+        solver = SatSolver()
         solver.ensure_vars(4)
         seen = set()
         while True:
@@ -446,7 +409,7 @@ class TestStressedFuzzAgainstBruteForce:
             if model is None:
                 break
             key = tuple(model[v] for v in range(1, 5))
-            assert key not in seen, "a deleted blocking clause re-admitted a model"
+            assert key not in seen, "a blocking clause re-admitted a model"
             seen.add(key)
             solver.add_clause([-v if model[v] else v for v in range(1, 5)])
         assert len(seen) == 16

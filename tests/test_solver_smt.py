@@ -177,7 +177,7 @@ class TestCaching:
         local = Solver()
         local.is_satisfiable(cmp("<", A, B))
         snapshot = local.stats_snapshot()
-        for key in ("restarts", "clauses_deleted", "literals_minimized",
+        for key in ("learned_clauses", "conflicts",
                     "theory_cache_hits", "cache_hit_rate",
                     "unsat_cores", "unsat_core_literals"):
             assert key in snapshot
@@ -226,6 +226,11 @@ class TestFeasibilitySession:
         session = local.feasibility_session(atoms, ())
         # All three cycle literals together are theory-infeasible ...
         assert not session.feasible_prefix(0b111, 3)
-        # ... and the lemma persists in the same session's SAT core.
-        assert session._sat._learned_clauses
+        # ... and the lemma persists in the same session's SAT core: the
+        # repeated query is refuted by propagation, with no theory round.
+        theory_before = (local.stats["theory_calls"],
+                         local.stats["theory_cache_hits"])
+        assert not session.feasible_prefix(0b111, 3)
+        assert (local.stats["theory_calls"],
+                local.stats["theory_cache_hits"]) == theory_before
         assert session.feasible_prefix(0b011, 2)

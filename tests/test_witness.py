@@ -2,7 +2,6 @@
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -10,7 +9,7 @@ from repro.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.datagen import DataGenerator
 from repro.engine.executor import bag_equal, execute
-from repro.service import AssignmentSession, grade_batch, make_server
+from repro.service import AssignmentSession, grade_batch
 from repro.service.cache import canonicalize, rename_query_aliases
 from repro.solver import Solver
 from repro.sqlparser.rewrite import parse_query_extended
@@ -319,16 +318,9 @@ WRONG = "SELECT beer FROM Serves WHERE price >= 2"
 
 
 @pytest.fixture()
-def witness_server():
-    server = make_server(port=0)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield host, port
-    finally:
-        server.shutdown()
-        server.server_close()
+def witness_server(start_server):
+    server, _ = start_server()
+    return server.server_address[:2]
 
 
 def _post(host, port, path, payload):
@@ -460,3 +452,63 @@ class TestHttpHardening:
             {"schema": SCHEMA, "target_sql": TARGET},
         )
         assert status == 201
+
+
+class TestUserstudyWitnessPinned:
+    """Userstudy Q2/Q4 grades with witnesses, pinned byte for byte.
+
+    Their witnesses come from ``Solver.find_model``, so the rendered
+    text depends on the SAT search order (decision order, default
+    phase, watch placement); this keeps any change to it visible.
+    """
+
+    EXPECTED = {
+        "Q2": (
+            '[GROUP BY]\n'
+            '  - In GROUP BY, `authorship.author` is incorrect -- it splits rows that should stay in the same group.\n'
+            '[SELECT]\n'
+            '  - In SELECT, the expression at position 3 (`COUNT(*)`) does not produce the right values.\n'
+            '\n'
+            'Query after applying all repairs:\n'
+            "  SELECT a.author, conference_paper.year, COUNT(DISTINCT authorship.author) FROM conference_paper, authorship, authorship a WHERE (conference_paper.pubkey = a.pubkey AND authorship.pubkey = a.pubkey AND a.author <> authorship.author AND conference_paper.year < 2018 AND conference_paper.area = 'Database' AND conference_paper.year < 2018) GROUP BY a.author, conference_paper.area, conference_paper.year\n"
+            '\n'
+            'Counterexample instance (4 row(s); divergence first visible in SELECT):\n'
+            '  authorship(pubkey, author)\n'
+            '    (w2, w0)\n'
+            '    (w2, w1)\n'
+            '    (w2, w0)\n'
+            '  conference_paper(pubkey, title, conference_name, year, area)\n'
+            '    (w2, Amy, Database, 0, Database)\n'
+            '  your query returns:      (w0, 0, 2), (w1, 0, 2)\n'
+            '  reference query returns: (w0, 0, 1), (w1, 0, 1)'
+        ),
+        "Q4": (
+            '[WHERE]\n'
+            "  - In WHERE, there is a problem with `conference_paper.area = 'System'`. Think through some concrete examples and see how you may fix it.\n"
+            "    fix: conference_paper.area = 'System'  ->  conference_paper.area = 'Systems'\n"
+            '[HAVING]\n'
+            '  - In HAVING, there is a problem with `COUNT(DISTINCT a.author) <= 1`. Think through some concrete examples and see how you may fix it.\n'
+            '    fix: COUNT(DISTINCT a.author) <= 1  ->  COUNT(DISTINCT authorship.author) <= 1\n'
+            '\n'
+            'Query after applying all repairs:\n'
+            "  SELECT a.author FROM authorship, conference_paper, authorship a WHERE (conference_paper.pubkey = a.pubkey AND a.pubkey = authorship.pubkey AND conference_paper.area = 'Systems') GROUP BY a.author, conference_paper.area HAVING COUNT(DISTINCT authorship.author) <= 1\n"
+            '\n'
+            'Counterexample instance (2 row(s); divergence first visible in HAVING):\n'
+            '  authorship(pubkey, author)\n'
+            '    (w0, Bob)\n'
+            '  conference_paper(pubkey, title, conference_name, year, area)\n'
+            '    (w0, Amy, Bob, 2, Systems)\n'
+            '  your query returns:      (no rows)\n'
+            '  reference query returns: (Bob)'
+        ),
+    }
+
+    def test_q2_q4_text_with_witness(self):
+        for question in dblp.QUESTIONS:
+            if question.qid not in self.EXPECTED:
+                continue
+            session = AssignmentSession(dblp.catalog(), question.correct_sql)
+            result = session.grade(question.wrong_sql, witness=True)
+            assert result.text(show_fixes=True) == (
+                self.EXPECTED[question.qid]
+            ), question.qid
