@@ -10,8 +10,8 @@ supplied atoms.
 from __future__ import annotations
 
 from repro.boolmin.cover import select_cover
-from repro.boolmin.quine_mccluskey import implicant_literals, prime_implicants
-from repro.logic.formulas import FALSE, TRUE, conj, disj, neg
+from repro.boolmin.quine_mccluskey import prime_implicants
+from repro.logic.formulas import FALSE, conj, disj, neg
 
 DONT_CARE = "*"
 
@@ -56,13 +56,6 @@ class TruthTable:
     def dc_set(self):
         return [m for m, v in self.outputs.items() if v == DONT_CARE]
 
-    @property
-    def off_set(self):
-        known = set(self.outputs)
-        off = [m for m, v in self.outputs.items() if v == 0]
-        off += [m for m in range(2**self.num_vars) if m not in known]
-        return off
-
 
 def minimize_table(table):
     """Return a minimum cover (list of implicants) for the truth table."""
@@ -97,11 +90,3 @@ def min_bool_exp(table, atoms):
     """The paper's ``MinBoolExp``: minimized formula for a partial function."""
     implicants = minimize_table(table)
     return implicants_to_formula(implicants, atoms)
-
-
-def formula_cost(implicants, num_vars):
-    """(num products, total literals) -- the minimization objective."""
-    return (
-        len(implicants),
-        sum(implicant_literals(p, num_vars) for p in implicants),
-    )

@@ -808,6 +808,7 @@ def cmd_serve(args):
 
 def cmd_journal(args):
     from repro.obs import JOURNAL
+    from repro.obs.journal import render_events
 
     if args.url:
         from urllib.error import URLError
@@ -832,7 +833,7 @@ def cmd_journal(args):
             f"buffered (capacity {stats.get('capacity', '?')}, "
             f"{stats.get('dropped', 0)} dropped)"
         )
-        for line in _render_events(events):
+        for line in render_events(events):
             print(line)
         return EXIT_OK
 
@@ -850,27 +851,6 @@ def cmd_journal(args):
     for line in JOURNAL.render(args.n):
         print(line)
     return EXIT_OK
-
-
-def _render_events(events):
-    """Render remote journal events with the Journal line format."""
-    import time as _time
-
-    lines = []
-    for event in events:
-        ts = _time.strftime(
-            "%H:%M:%S", _time.localtime(event.get("ts", 0))
-        ) + f".{int(event.get('ts', 0) * 1000) % 1000:03d}"
-        fields = " ".join(
-            f"{key}={event[key]}"
-            for key in sorted(event)
-            if key not in ("seq", "ts", "kind")
-        )
-        line = f"{event.get('seq', 0):>6}  {ts}  {event.get('kind', '?')}"
-        if fields:
-            line += f"  {fields}"
-        lines.append(line)
-    return lines
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ with ``w`` defaulting to 1/6 as in the paper's experiments (Section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.logic.paths import node_at, replace_at
@@ -41,13 +41,6 @@ class Repair:
 
     def __len__(self):
         return len(self.fixes)
-
-    def describe(self, predicate):
-        lines = []
-        for path, fix in self.fixes:
-            original = node_at(predicate, path)
-            lines.append(f"{original}  ->  {fix}")
-        return "\n".join(lines)
 
 
 def repair_cost(repair, predicate, target, weight=DEFAULT_SITE_WEIGHT):

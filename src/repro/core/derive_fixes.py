@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.bounds import create_bounds
 from repro.core.minfix import min_fix, min_fix_pos
 from repro.logic.formulas import And, FALSE, Not, Or, TRUE, conj, disj, neg
-from repro.logic.paths import node_at, paths_under
+from repro.logic.paths import paths_under
 
 
 def derive_fixes(predicate, sites, target, solver, context=()):

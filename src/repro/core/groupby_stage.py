@@ -67,16 +67,6 @@ def fix_grouping(where, working_terms, target_terms, solver=None):
     return delta
 
 
-def grouping_equivalent(where, working_terms, target_terms, solver=None):
-    """Viability check V3: do the two lists induce the same partitioning?"""
-    delta = fix_grouping(where, working_terms, target_terms, solver)
-    if not delta.viable:
-        return False
-    # fix_grouping establishes o refines o* after removals; with nothing
-    # removed/added the two partitions coincide (Lemma 6.2).
-    return True
-
-
 def apply_grouping_fix(working_terms, target_terms, delta):
     """Apply (remove, add): drop flagged expressions, append target's."""
     kept = [t for i, t in enumerate(working_terms) if i not in delta.remove]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.core.where_repair import repair_where
 from repro.logic.formulas import TRUE, conj
-from repro.logic.terms import AggCall
 from repro.solver import default_solver
 from repro.solver.aggregates import HavingContext, scalarize_formula
 

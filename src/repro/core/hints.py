@@ -8,7 +8,7 @@ both: the structured repair payload and a templated message in the style
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,6 @@ class AtomMapping:
     def num_vars(self):
         return len(self.atoms)
 
-    def literal_formula(self, index, positive):
-        atom = self.atoms[index]
-        return atom if positive else neg(atom)
-
-    def assignment_formula(self, assignment):
-        """Conjunction of literals for a truth assignment (int bitmask)."""
-        literals = []
-        for i, atom in enumerate(self.atoms):
-            literals.append(atom if assignment & (1 << i) else neg(atom))
-        return conj(*literals)
-
     def evaluate(self, formula, assignment):
         """Evaluate ``formula`` propositionally under the assignment."""
         if isinstance(formula, BoolConst):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core import hints as hint_templates
-from repro.core.cost import DEFAULT_SITE_WEIGHT
 from repro.core.from_stage import apply_from_fix, check_from
 from repro.core.groupby_stage import apply_grouping_fix, fix_grouping
 from repro.core.having_stage import (
@@ -28,17 +28,12 @@ from repro.core.select_stage import apply_select_fix, fix_select
 from repro.core.table_mapping import unify_target
 from repro.core.where_repair import repair_where
 from repro.errors import RepairError
-from repro.logic.substitute import substitute
 from repro.obs import JOURNAL, REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot, nonzero
 from repro.query import ResolvedQuery
 from repro.service.deadline import DeadlineExceeded
 from repro.solver import Solver
-from repro.solver.aggregates import agg_scalar_var
 from repro.sqlparser import parse_query
-
-STAGES_SPJ = ("FROM", "WHERE", "SELECT")
-STAGES_SPJA = ("FROM", "WHERE", "GROUP BY", "HAVING", "SELECT")
 
 _STAGE_SECONDS = REGISTRY.histogram(
     "repro_stage_seconds",
@@ -122,7 +117,6 @@ class QrHint:
         max_sites=2,
         optimized=True,
         solver=None,
-        weight=DEFAULT_SITE_WEIGHT,
         deadline=None,
     ):
         self.catalog = catalog
@@ -131,12 +125,10 @@ class QrHint:
         self.max_sites = max_sites
         self.optimized = optimized
         self.solver = solver or Solver()
-        self.weight = weight
         #: Optional :class:`repro.service.deadline.Deadline`.  Attached to
         #: the solver for the duration of the run; expiry mid-stage yields
         #: a degraded partial report instead of an exception.
         self.deadline = deadline
-        self._current_stage = None
 
     def _coerce(self, query):
         if isinstance(query, str):
@@ -152,27 +144,6 @@ class QrHint:
             span.set(all_passed=report.all_passed)
             return report
 
-    # -- per-stage effort attribution ----------------------------------
-
-    def _stage_effort_start(self):
-        """Solver counter snapshot, only while a trace is recording."""
-        return effort_snapshot(self.solver) if TRACER.enabled else None
-
-    def _stage_effort_finish(self, span, before):
-        """Attach the stage's nonzero solver-counter delta to its span."""
-        if before is not None:
-            span.set(
-                effort=nonzero(
-                    effort_delta(before, effort_snapshot(self.solver))
-                )
-            )
-
-    def _stage_begin(self, name):
-        """Per-stage deadline poll; names the stage for degradation."""
-        self._current_stage = name
-        if self.deadline is not None:
-            self.deadline.check(name)
-
     def _run(self):
         start = time.perf_counter()
         deadline = self.deadline
@@ -180,37 +151,75 @@ class QrHint:
             # A budget spent before any work is a caller problem (HTTP maps
             # it to 408); degradation only covers expiry *during* the run.
             deadline.check("pipeline.start")
-        stages = []
-        state = {"working": self.working, "target": self.target}
-        degraded_stage = None
-        if deadline is not None:
             self.solver.deadline = deadline
+        stages = []
+        run = partial(self._run_stage, stages)
+        target, working = self.target, self.working
+        degraded_stage = None
         try:
-            self._run_stages(stages, state)
+            working = run("FROM", self._from, target, working)
+            target, working, spja = self._unify(working)
+            working = run("WHERE", self._where, target, working)
+            if spja:
+                working = run("GROUP BY", self._grouping, target, working)
+                working = run("HAVING", self._having, target, working)
+            select = partial(self._select, spja=spja)
+            working = run("SELECT", select, target, working)
         except DeadlineExceeded:
-            degraded_stage = self._current_stage or "FROM"
-            stages.append(self._degraded_stage_result(degraded_stage))
-            _DEADLINE_EXPIRED.inc(stage=degraded_stage)
-            _DEGRADED.inc()
-            JOURNAL.record(
-                "deadline.expired",
-                stage=degraded_stage,
-                stages_done=len(stages) - 1,
-            )
+            degraded_stage = stages[-1].stage
         finally:
             if deadline is not None:
                 self.solver.deadline = None
-        for result in stages:
-            result.hints = tuple(result.hints)
-            _STAGE_SECONDS.observe(result.elapsed, stage=result.stage)
         return Report(
             stages=tuple(stages),
-            final_query=state["working"],
-            target_query=state["target"],
+            final_query=working,
+            target_query=target,
             elapsed=time.perf_counter() - start,
             degraded=degraded_stage is not None,
             degraded_stage=degraded_stage,
         )
+
+    def _run_stage(self, stages, name, stage, target, working):
+        """Run one stage: the only code that times, traces or degrades one.
+
+        ``stage`` is a ``(target, working) -> (StageResult, working)``
+        method.  The runner polls the deadline, opens ``stage.<name>``
+        (with ``passed`` and, while a trace records, the stage's nonzero
+        solver-effort delta), times the stage into ``elapsed`` and
+        ``repro_stage_seconds``, and appends the frozen result to
+        ``stages``.  When the budget runs out it appends the degraded
+        result instead, timed up to the expiry, and re-raises.  Returns
+        the working query after the stage's fix.
+        """
+        start = time.perf_counter()
+        result = None  # stays None if the stage raises a RepairError
+        try:
+            if self.deadline is not None:
+                self.deadline.check(name)
+            with TRACER.span(f"stage.{name}") as span:
+                solver = self.solver
+                before = effort_snapshot(solver) if TRACER.enabled else None
+                result, working = stage(target, working)
+                span.set(passed=result.passed)
+                if before is not None:
+                    after = effort_snapshot(solver)
+                    span.set(effort=nonzero(effort_delta(before, after)))
+            result.query_after = working
+        except DeadlineExceeded:
+            result = self._degraded_stage_result(name)
+            _DEADLINE_EXPIRED.inc(stage=name)
+            _DEGRADED.inc()
+            JOURNAL.record(
+                "deadline.expired", stage=name, stages_done=len(stages)
+            )
+            raise
+        finally:
+            if result is not None:
+                result.elapsed = time.perf_counter() - start
+                result.hints = tuple(result.hints)
+                stages.append(result)
+                _STAGE_SECONDS.observe(result.elapsed, stage=name)
+        return working
 
     def _degraded_stage_result(self, stage):
         """The coarse stage-level hint standing in for an unfinished stage."""
@@ -225,197 +234,133 @@ class QrHint:
         )
         return StageResult(stage, passed=False, hints=[hint])
 
-    def _run_stages(self, stages, state):
-        """The staged Theorem 3.1 walk; appends each finished stage.
+    def _unify(self, working):
+        """Share the working query's aliases; split HAVING (untimed).
 
-        ``stages``/``state`` are caller-owned so that a
-        :class:`DeadlineExceeded` escaping mid-stage leaves every
-        *completed* stage (and the latest working/target queries) visible
-        to ``_run``'s degradation handler.
+        Runs between FROM and WHERE, outside every stage.  Returns the
+        unified target, the working query and whether grading is SPJA.
         """
-        working = state["working"]
-
-        # ---- FROM ----
-        self._stage_begin("FROM")
-        stage_start = time.perf_counter()
-        with TRACER.span("stage.FROM") as span:
-            effort_before = self._stage_effort_start()
-            delta = check_from(self.target, working)
-            result = StageResult("FROM", passed=delta.viable)
-            if not delta.viable:
-                result.hints = hint_templates.from_stage_hints(delta)
-                working = apply_from_fix(working, self.target, delta)
-            span.set(passed=result.passed)
-            self._stage_effort_finish(span, effort_before)
-        result.elapsed = time.perf_counter() - stage_start
-        result.query_after = working
-        stages.append(result)
-        state["working"] = working
-
-        # ---- unify alias namespaces (table mapping) ----
         target, _mapping = unify_target(self.target, working, self.catalog)
-
         spja = target.is_spja or working.is_spja
         if spja:
-            new_where_t, new_having_t = split_having(
-                target.where, target.group_by, target.having
-            )
-            target = replace(target, where=new_where_t, having=new_having_t)
-            new_where_w, new_having_w = split_having(
-                working.where, working.group_by, working.having
-            )
-            working = replace(working, where=new_where_w, having=new_having_w)
-        state["target"] = target
-        state["working"] = working
+            target = _split_having(target)
+            working = _split_having(working)
+        return target, working, spja
 
-        # ---- WHERE ----
-        self._stage_begin("WHERE")
-        stage_start = time.perf_counter()
-        with TRACER.span("stage.WHERE") as span:
-            effort_before = self._stage_effort_start()
-            result = StageResult("WHERE", passed=True)
-            if not self.solver.is_equiv(working.where, target.where):
-                result.passed = False
-                repair_result = repair_where(
-                    working.where,
-                    target.where,
-                    max_sites=self.max_sites,
-                    optimized=self.optimized,
-                    solver=self.solver,
-                    weight=self.weight,
-                )
-                if not repair_result.found:
-                    raise RepairError("WHERE stage found no viable repair")
-                result.hints = hint_templates.predicate_repair_hints(
-                    "WHERE", repair_result.repair, working.where
-                )
-                result.repair_cost = repair_result.cost
-                working = replace(
-                    working, where=repair_result.repair.apply(working.where)
-                )
-            span.set(passed=result.passed)
-            self._stage_effort_finish(span, effort_before)
-        result.elapsed = time.perf_counter() - stage_start
-        result.query_after = working
-        stages.append(result)
-        state["working"] = working
+    # -- the stages: (target, working) -> (StageResult, working) ---------
 
+    def _from(self, target, working):
+        delta = check_from(target, working)
+        result = StageResult("FROM", passed=delta.viable)
+        if not delta.viable:
+            result.hints = hint_templates.from_stage_hints(delta)
+            working = apply_from_fix(working, target, delta)
+        return result, working
+
+    def _where(self, target, working):
+        passed = self.solver.is_equiv(working.where, target.where)
+        result = StageResult("WHERE", passed=passed)
+        if not passed:
+            repaired = repair_where(
+                working.where,
+                target.where,
+                max_sites=self.max_sites,
+                optimized=self.optimized,
+                solver=self.solver,
+            )
+            if not repaired.found:
+                raise RepairError("WHERE stage found no viable repair")
+            result.hints = hint_templates.predicate_repair_hints(
+                "WHERE", repaired.repair, working.where
+            )
+            result.repair_cost = repaired.cost
+            working = replace(
+                working, where=repaired.repair.apply(working.where)
+            )
+        return result, working
+
+    def _grouping(self, target, working):
+        delta = fix_grouping(
+            target.where, working.group_by, target.group_by, self.solver
+        )
+        result = StageResult("GROUP BY", passed=delta.viable)
+        if not delta.viable:
+            result.hints = hint_templates.grouping_hints(
+                delta, working.group_by
+            )
+            working = replace(
+                working,
+                group_by=apply_grouping_fix(
+                    working.group_by, target.group_by, delta
+                ),
+            )
+        return result, working
+
+    def _having(self, target, working):
+        analysis = _analyze_having(target, working)
+        passed = having_equivalent(analysis, self.solver)
+        result = StageResult("HAVING", passed=passed)
+        if not passed:
+            repaired = repair_having(
+                analysis,
+                max_sites=self.max_sites,
+                optimized=self.optimized,
+                solver=self.solver,
+            )
+            if not repaired.found:
+                raise RepairError("HAVING stage found no viable repair")
+            result.hints = hint_templates.predicate_repair_hints(
+                "HAVING", repaired.repair, analysis.working_scalar
+            )
+            result.repair_cost = repaired.cost
+            fixed_scalar = repaired.repair.apply(analysis.working_scalar)
+            working = replace(
+                working, having=analysis.descalarize(fixed_scalar)
+            )
+        return result, working
+
+    def _select(self, target, working, spja):
         if spja:
-            # ---- GROUP BY ----
-            self._stage_begin("GROUP BY")
-            stage_start = time.perf_counter()
-            with TRACER.span("stage.GROUP BY") as span:
-                effort_before = self._stage_effort_start()
-                delta = fix_grouping(
-                    target.where, working.group_by, target.group_by,
-                    self.solver
+            analysis = _analyze_having(target, working)
+            context = analysis.context + (analysis.target_scalar,)
+        else:
+            context = (target.where,)
+        delta = fix_select(working.select, target.select, context, self.solver)
+        passed = delta.viable and working.distinct == target.distinct
+        result = StageResult("SELECT", passed=passed)
+        if not delta.viable:
+            result.hints.extend(
+                hint_templates.select_hints(
+                    delta, working.select, len(target.select)
                 )
-                result = StageResult("GROUP BY", passed=delta.viable)
-                if not delta.viable:
-                    result.hints = hint_templates.grouping_hints(
-                        delta, working.group_by
-                    )
-                    working = replace(
-                        working,
-                        group_by=apply_grouping_fix(
-                            working.group_by, target.group_by, delta
-                        ),
-                    )
-                span.set(passed=result.passed)
-                self._stage_effort_finish(span, effort_before)
-            result.elapsed = time.perf_counter() - stage_start
-            result.query_after = working
-            stages.append(result)
-            state["working"] = working
-
-            # ---- HAVING ----
-            self._stage_begin("HAVING")
-            stage_start = time.perf_counter()
-            with TRACER.span("stage.HAVING") as span:
-                effort_before = self._stage_effort_start()
-                analysis = analyze_having(
-                    target.where,
-                    working.group_by,
-                    target.group_by,
-                    working.having,
-                    target.having,
-                )
-                passed = having_equivalent(analysis, self.solver)
-                result = StageResult("HAVING", passed=passed)
-                if not passed:
-                    repair_result = repair_having(
-                        analysis,
-                        max_sites=self.max_sites,
-                        optimized=self.optimized,
-                        solver=self.solver,
-                    )
-                    if not repair_result.found:
-                        raise RepairError(
-                            "HAVING stage found no viable repair"
-                        )
-                    result.hints = hint_templates.predicate_repair_hints(
-                        "HAVING", repair_result.repair,
-                        analysis.working_scalar
-                    )
-                    result.repair_cost = repair_result.cost
-                    fixed_scalar = repair_result.repair.apply(
-                        analysis.working_scalar
-                    )
-                    working = replace(
-                        working, having=analysis.descalarize(fixed_scalar)
-                    )
-                span.set(passed=result.passed)
-                self._stage_effort_finish(span, effort_before)
-            result.elapsed = time.perf_counter() - stage_start
-            result.query_after = working
-            stages.append(result)
-            state["working"] = working
-
-        # ---- SELECT ----
-        self._stage_begin("SELECT")
-        stage_start = time.perf_counter()
-        with TRACER.span("stage.SELECT") as span:
-            effort_before = self._stage_effort_start()
-            if spja:
-                analysis = analyze_having(
-                    target.where,
-                    working.group_by,
-                    target.group_by,
-                    working.having,
-                    target.having,
-                )
-                context = analysis.context + (analysis.target_scalar,)
-            else:
-                context = (target.where,)
-            delta = fix_select(
-                working.select, target.select, context, self.solver
             )
-            passed = delta.viable and working.distinct == target.distinct
-            result = StageResult("SELECT", passed=passed)
-            if not delta.viable:
-                result.hints.extend(
-                    hint_templates.select_hints(
-                        delta, working.select, len(target.select)
-                    )
-                )
-                working = replace(
-                    working,
-                    select=apply_select_fix(
-                        working.select, target.select, delta
-                    ),
-                    select_aliases=(),
-                )
-            if working.distinct != target.distinct:
-                result.hints.append(
-                    hint_templates.distinct_hint(working.distinct)
-                )
-                working = replace(working, distinct=target.distinct)
-            span.set(passed=result.passed)
-            self._stage_effort_finish(span, effort_before)
-        result.elapsed = time.perf_counter() - stage_start
-        result.query_after = working
-        stages.append(result)
-        state["working"] = working
+            working = replace(
+                working,
+                select=apply_select_fix(working.select, target.select, delta),
+                select_aliases=(),
+            )
+        if working.distinct != target.distinct:
+            result.hints.append(hint_templates.distinct_hint(working.distinct))
+            working = replace(working, distinct=target.distinct)
+        return result, working
+
+
+def _split_having(query):
+    """``query`` with its aggregate-free HAVING conjuncts moved to WHERE."""
+    where, having = split_having(query.where, query.group_by, query.having)
+    return replace(query, where=where, having=having)
+
+
+def _analyze_having(target, working):
+    # ``analyze_having`` is looked up at call time, so a wrapper installed
+    # on this module's binding sees both the HAVING and the SELECT call.
+    return analyze_having(
+        target.where,
+        working.group_by,
+        target.group_by,
+        working.having,
+        target.having,
+    )
 
 
 def grade(catalog, target, working, **options):
@@ -423,10 +368,9 @@ def grade(catalog, target, working, **options):
 
     ``target`` and ``working`` may be SQL text or resolved queries;
     ``options`` are forwarded to :class:`QrHint` (``max_sites``,
-    ``optimized``, ``solver``, ``weight``).  Returns the frozen
+    ``optimized``, ``solver``, ``deadline``).  Returns the frozen
     :class:`Report`.  Long-lived callers should prefer
     :class:`repro.service.AssignmentSession`, which reuses the target
     parse, the solver, and memoized reports across submissions.
     """
     return QrHint(catalog, target, working, **options).run()
-

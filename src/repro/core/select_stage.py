@@ -42,11 +42,6 @@ def fix_select(working_terms, target_terms, context=(), solver=None):
     return delta
 
 
-def select_equivalent(working_terms, target_terms, context=(), solver=None):
-    """Viability check V5."""
-    return fix_select(working_terms, target_terms, context, solver).viable
-
-
 def apply_select_fix(working_terms, target_terms, delta):
     """Apply the fix: substitute/extend positions from the target list."""
     out = list(working_terms)

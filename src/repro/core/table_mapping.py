@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.logic.formulas import Comparison, FLIPPED_OP
+from repro.logic.formulas import FLIPPED_OP
 from repro.logic.terms import Const, Var
 from repro.solver.strings import UnionFind
 

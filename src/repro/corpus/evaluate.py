@@ -146,7 +146,6 @@ def evaluate_corpus(
     max_sites=2,
     witness=False,
     witness_limit=40,
-    witness_seed=0,
     trace_jsonl=None,
 ):
     """Grade every corpus entry and aggregate a :class:`CorpusEvalResult`.
@@ -257,15 +256,13 @@ def evaluate_corpus(
         stats["effort"] = mean_effort(kind_effort.get(kind, []))
 
     if witness:
-        _measure_witness_coverage(
-            result, outcomes, sources, witness_limit, witness_seed
-        )
+        _measure_witness_coverage(result, outcomes, sources, witness_limit)
 
     result.outcomes = outcomes
     return result
 
 
-def _measure_witness_coverage(result, outcomes, sources, limit, seed):
+def _measure_witness_coverage(result, outcomes, sources, limit):
     """Counterexample generation over the first ``limit`` flagged entries."""
     solvers = {}
     start = time.perf_counter()
@@ -279,9 +276,7 @@ def _measure_witness_coverage(result, outcomes, sources, limit, seed):
         try:
             target = parse_query_extended(entry.target_sql, catalog)
             wrong = parse_query_extended(entry.wrong_sql, catalog)
-            found = generate_witness(
-                catalog, target, wrong, solver=solver, seed=seed
-            )
+            found = generate_witness(catalog, target, wrong, solver=solver)
         except ReproError:
             found = None
         result.witness_attempted += 1

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from repro.logic.evaluate import eval_formula, eval_term
 from repro.logic.formulas import TRUE
-from repro.logic.terms import AggCall
 
 
 def cross_product(query, database):

@@ -10,7 +10,7 @@ linearize identically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.catalog import SqlType

@@ -9,7 +9,7 @@ tests, and subtree replacement -- the plumbing used by ``RepairWhere``,
 
 from __future__ import annotations
 
-from repro.logic.formulas import And, Comparison, Formula, Not, Or
+from repro.logic.formulas import And, Not, Or
 
 
 def node_at(formula, path):

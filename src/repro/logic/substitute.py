@@ -6,7 +6,6 @@ from repro.logic.formulas import (
     And,
     BoolConst,
     Comparison,
-    Formula,
     Not,
     Or,
     conj,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 
 #: The bounded route-label set for HTTP metric families.  Everything
 #: else (typo'd paths, scanners, probes) collapses into ``other`` at
@@ -307,7 +306,3 @@ def service_metric_families(service):
             )
         )
     return families
-
-
-def uptime_since(started_at):
-    return time.time() - started_at

@@ -112,22 +112,8 @@ class Journal:
     # -- rendering ------------------------------------------------------
 
     def render(self, n=None):
-        """One line per event, oldest first (CLI / stderr dumps)."""
-        lines = []
-        for event in self.tail(n):
-            ts = time.strftime(
-                "%H:%M:%S", time.localtime(event["ts"])
-            ) + f".{int(event['ts'] * 1000) % 1000:03d}"
-            fields = " ".join(
-                f"{key}={event[key]}"
-                for key in sorted(event)
-                if key not in ("seq", "ts", "kind")
-            )
-            line = f"{event['seq']:>6}  {ts}  {event['kind']}"
-            if fields:
-                line += f"  {fields}"
-            lines.append(line)
-        return lines
+        """The last ``n`` events, one line each (:func:`render_events`)."""
+        return render_events(self.tail(n))
 
     def dump(self, stream=None, n=200, reason=None):
         """Write the last ``n`` events to ``stream`` (default stderr).
@@ -145,6 +131,32 @@ class Journal:
         for line in self.render(n):
             print(line, file=stream)
         print("--- end journal ---", file=stream)
+
+
+def render_events(events):
+    """One line per event, oldest first (CLI and stderr dumps).
+
+    Renders this process's events (:meth:`Journal.tail`) and events
+    fetched from a server's ``/debug/journal`` alike: a missing
+    ``seq``/``ts``/``kind`` renders as 0, the epoch or ``?``.
+    """
+    lines = []
+    for event in events:
+        ts = event.get("ts", 0)
+        stamp = time.strftime("%H:%M:%S", time.localtime(ts))
+        line = (
+            f"{event.get('seq', 0):>6}  {stamp}.{int(ts * 1000) % 1000:03d}"
+            f"  {event.get('kind', '?')}"
+        )
+        fields = " ".join(
+            f"{key}={event[key]}"
+            for key in sorted(event)
+            if key not in ("seq", "ts", "kind")
+        )
+        if fields:
+            line += f"  {fields}"
+        lines.append(line)
+    return lines
 
 
 #: The process-wide flight recorder every instrumentation point uses.

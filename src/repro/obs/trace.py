@@ -347,12 +347,6 @@ class Tracer:
             return _NULL_SPAN
         return trace.start_span(name, attrs)
 
-    def current_span(self):
-        trace = self._current()
-        if trace is None or not trace.stack:
-            return None
-        return trace.stack[-1]
-
     def adopt(self, trace_dict):
         """Re-parent a serialized worker trace under the current span.
 

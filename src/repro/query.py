@@ -10,7 +10,7 @@ on this representation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.logic.formulas import Formula, TRUE
 from repro.logic.substitute import rename_variables

@@ -68,13 +68,9 @@ _WORKER_WITNESS = False
 _WORKER_TRACE = False
 
 
-def _init_worker(catalog, target, max_sites, optimized,
-                 witness_seed=0, witness=False, trace=False):
+def _init_worker(catalog, target, max_sites, witness=False, trace=False):
     global _WORKER_SESSION, _WORKER_WITNESS, _WORKER_TRACE
-    _WORKER_SESSION = AssignmentSession(
-        catalog, target, max_sites=max_sites, optimized=optimized,
-        witness_seed=witness_seed,
-    )
+    _WORKER_SESSION = AssignmentSession(catalog, target, max_sites=max_sites)
     _WORKER_WITNESS = witness
     _WORKER_TRACE = trace
 
@@ -351,7 +347,6 @@ def grade_batch(
     *,
     processes=None,
     max_sites=2,
-    optimized=True,
     session=None,
     witness=False,
     trace=False,
@@ -396,7 +391,7 @@ def grade_batch(
     start = time.perf_counter()
     if session is None:
         session = AssignmentSession(
-            catalog, target, max_sites=max_sites, optimized=optimized,
+            catalog, target, max_sites=max_sites,
             cache_size=max(256, 2 * len(submissions) + 1),
         )
 
@@ -436,9 +431,8 @@ def grade_batch(
 
     # Back half: grade unique forms, sharded across workers when it pays.
     if processes > 1 and len(pending) > 1:
-        initargs = (session.catalog, session.target,
-                    session.max_sites, session.optimized,
-                    session.witness_seed, witness, trace)
+        initargs = (session.catalog, session.target, session.max_sites,
+                    witness, trace)
         graded_by_index = {}
         leftovers, reason = _pool_round(
             list(range(len(pending))), pending, initargs,

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from repro.logic.formulas import And, BoolConst, Comparison, Not, Or
 from repro.logic.substitute import substitute_term
-from repro.logic.terms import Term, Var
+from repro.logic.terms import Var
 from repro.obs import JOURNAL, TRACER
 from repro.query import FromEntry
 

@@ -996,12 +996,9 @@ def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("\nshutting down (draining in-flight requests)")
     finally:
-        # serve_forever has exited, so no new connections are accepted;
+        # serve_forever has exited, so drain's shutdown() returns at once;
         # shed queued/late work and let admitted requests finish.
-        JOURNAL.record("server.drain.start")
-        controller.start_drain()
-        drained = controller.wait_idle(drain_timeout)
-        JOURNAL.record("server.drain.end", drained=drained)
+        drained = server.drain(drain_timeout)
         if not drained:  # pragma: no cover - hung in-flight work
             print(f"drain timed out after {drain_timeout:g}s "
                   f"({controller.inflight} request(s) still in flight)")

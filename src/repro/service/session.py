@@ -29,7 +29,6 @@ from repro.core.hints import Hint
 from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot
-from repro.query import ResolvedQuery
 from repro.service.cache import (
     ArtifactCache,
     canonicalize,
@@ -295,10 +294,8 @@ class AssignmentSession:
         *,
         assignment_id=None,
         max_sites=2,
-        optimized=True,
         cache_size=256,
         solver=None,
-        witness_seed=0,
     ):
         self.catalog = catalog
         self.assignment_id = assignment_id
@@ -309,12 +306,10 @@ class AssignmentSession:
             self.target = target
             self.target_sql = target.to_sql()
         self.max_sites = max_sites
-        self.optimized = optimized
         self.solver = solver or Solver()
         self.cache = ArtifactCache(cache_size)
         self.lock = threading.RLock()
         self._solver_baseline = self.solver.stats_snapshot()
-        self.witness_seed = witness_seed
         self.submissions = 0
         self.pipeline_runs = 0
         self.witness_runs = 0  # generate_witness invocations (cache misses)
@@ -443,11 +438,7 @@ class AssignmentSession:
         entry = self.cache.get(key)
         if entry is None:
             entry = generate_witness(
-                self.catalog,
-                self.target,
-                canonical,
-                solver=self.solver,
-                seed=self.witness_seed,
+                self.catalog, self.target, canonical, solver=self.solver
             )
             self.witness_runs += 1
             self.cache.put(key, entry if entry is not None else _NO_WITNESS)
@@ -460,7 +451,6 @@ class AssignmentSession:
             self.target,
             canonical,
             max_sites=self.max_sites,
-            optimized=self.optimized,
             solver=self.solver,
             deadline=deadline,
         ).run()

@@ -20,13 +20,11 @@ examples (Examples 3, 10, 11) while remaining sound everywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.catalog import SqlType
-from repro.logic.formulas import Comparison, conj
-from repro.logic.linear import LinExpr, linexpr_to_term, try_linearize
+from repro.logic.formulas import Comparison
+from repro.logic.linear import linexpr_to_term, try_linearize
 from repro.logic.substitute import substitute, substitute_term
-from repro.logic.terms import AggCall, Arith, Const, Neg, Term, Var
+from repro.logic.terms import AggCall, Arith, Const, Neg, Var
 
 
 def normalize_aggregate(agg):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.catalog import SqlType
-from repro.logic.linear import LinExpr, try_linearize
+from repro.logic.linear import try_linearize
 from repro.logic.terms import Const
 
 

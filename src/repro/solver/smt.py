@@ -22,7 +22,6 @@ from repro.logic.formulas import (
     And,
     BoolConst,
     Comparison,
-    Formula,
     Not,
     Or,
     conj,
@@ -32,7 +31,6 @@ from repro.logic.formulas import (
 )
 from repro.logic.terms import Term
 from repro.obs import TRACER
-from repro.obs.effort import effort_delta
 from repro.service.faults import FAULTS
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.sat import SatSolver
@@ -49,6 +47,17 @@ _MISS = object()  # cache-miss sentinel (None is not a legal verdict)
 # grow them without bound (a flush only costs re-derivation, not soundness).
 _THEORY_CACHE_LIMIT = 200_000
 _CORE_CACHE_LIMIT = 50_000
+
+#: Facade counter <- SAT-core counter, folded in per DPLL(T) loop.
+_SAT_COUNTERS = (
+    ("learned_clauses", "learned_clauses"),
+    ("propagations", "propagations"),
+    ("conflicts", "conflicts"),
+    # Failed-assumption cores (feasibility sessions): the pair gives the
+    # count and total size, hence the mean core size.
+    ("unsat_cores", "assumption_cores"),
+    ("unsat_core_literals", "core_literals"),
+)
 
 
 def _block_literals(sat, atom_vars, literals):
@@ -225,47 +234,28 @@ class Solver:
             return model
 
     def _find_model_impl(self, formula, context, max_attempts):
-        goal = conj(*context, formula)
         self.stats["sat_calls"] += 1
-        atom_vars = {}
-        sat = SatSolver()
-        builder = CnfBuilder(sink=sat.add_clause)
-        skeleton = self._abstract(goal, atom_vars, builder)
-        if skeleton is False:
+        encoded = self._encode(conj(*context, formula))
+        if encoded is False:
             return None
-        if skeleton is True:
+        if encoded is True:
             return TheoryModel(atoms={}, values={}, complete=True)
-
-        assert_skeleton(skeleton, builder)
-        sat.ensure_vars(builder.num_vars)
-        var_to_atom = {var: atom for atom, var in atom_vars.items()}
-        atom_var_order = sorted(var_to_atom)
+        sat, atom_vars = encoded
         attempts = 0
-        try:
-            for _ in range(self.max_conflicts):
-                self._checkpoint()
-                model = sat.solve()
-                if model is None:
-                    return None
-                literals = tuple(
-                    (var_to_atom[var], model[var]) for var in atom_var_order
+        for literals in self._dpllt(sat, atom_vars):
+            extracted = theory_find_model(literals)
+            if extracted is not None:
+                values, complete = extracted
+                return TheoryModel(
+                    atoms=dict(literals),
+                    values=dict(values),
+                    complete=complete,
                 )
-                if self._theory_round(sat, atom_vars, literals):
-                    extracted = theory_find_model(literals)
-                    if extracted is not None:
-                        values, complete = extracted
-                        return TheoryModel(
-                            atoms=dict(literals),
-                            values=dict(values),
-                            complete=complete,
-                        )
-                    attempts += 1
-                    if attempts >= max_attempts:
-                        return None
-                    _block_literals(sat, atom_vars, literals)
-            raise SolverLimitError("exceeded conflict budget")
-        finally:
-            self._absorb_sat_stats(sat.stats)
+            attempts += 1
+            if attempts >= max_attempts:
+                return None
+            _block_literals(sat, atom_vars, literals)
+        return None
 
     # ------------------------------------------------------------------
     # Core loop
@@ -290,52 +280,61 @@ class Solver:
 
     def _solve_impl(self, formula):
         self.stats["sat_calls"] += 1
-        atom_vars = {}  # Atom -> int propositional var
+        encoded = self._encode(formula)
+        if isinstance(encoded, bool):
+            return SAT if encoded else UNSAT
+        for _ in self._dpllt(*encoded):
+            return SAT
+        return UNSAT
+
+    def _encode(self, formula):
+        """Tseitin-encode ``formula`` into a fresh SAT core.
+
+        Returns ``(sat, atom_vars)`` (``atom_vars`` maps each theory atom
+        to its propositional variable), or a bool for a constant formula.
+        """
+        atom_vars = {}
         sat = SatSolver()
         # Stream Tseitin clauses straight into the SAT core: no buffered
         # clause list, and the core's watch lists are built exactly once.
         builder = CnfBuilder(sink=sat.add_clause)
         skeleton = self._abstract(formula, atom_vars, builder)
-        if skeleton is True:
-            return SAT
-        if skeleton is False:
-            return UNSAT
-
+        if isinstance(skeleton, bool):
+            return skeleton
         assert_skeleton(skeleton, builder)
         sat.ensure_vars(builder.num_vars)
+        return sat, atom_vars
 
-        var_to_atom = {var: atom for atom, var in atom_vars.items()}
-        atom_var_order = sorted(var_to_atom)
+    def _dpllt(self, sat, atom_vars, assumptions=()):
+        """The lazy DPLL(T) loop behind every primitive and session.
+
+        Yields the literal tuple of each theory-consistent propositional
+        model of ``sat`` under ``assumptions``, atoms in ascending SAT
+        variable order (``_shrink_core`` sorts stably, so this order
+        decides the cores, the blocking clauses and the witnesses).  A
+        theory conflict is blocked in place, so the one persistent SAT
+        core keeps its watch lists, learned clauses and saved phases
+        across rounds.  Returns once ``sat`` is UNSAT; raises
+        :class:`SolverLimitError` after ``max_conflicts`` rounds.  The
+        SAT core's counters move into ``stats`` as a delta when the loop
+        ends: it returns, it raises, or the caller stops iterating.
+        """
+        ordered = sorted(atom_vars.items(), key=lambda item: item[1])
+        baseline = dict(sat.stats)
         try:
-            # One persistent incremental solver for the whole DPLL(T) loop:
-            # each theory-conflict clause is added in place, and the next
-            # solve() reuses the watch lists, every clause learned so far,
-            # and the saved phases (so successive models differ minimally
-            # and most theory checks hit the literal cache).
             for _ in range(self.max_conflicts):
                 self._checkpoint()
-                model = sat.solve()
+                model = sat.solve(assumptions)
                 if model is None:
-                    return UNSAT
-                literals = tuple(
-                    (var_to_atom[var], model[var]) for var in atom_var_order
-                )
+                    return
+                literals = tuple((atom, model[var]) for atom, var in ordered)
                 if self._theory_round(sat, atom_vars, literals):
-                    return SAT
+                    yield literals
             raise SolverLimitError("exceeded conflict budget")
         finally:
-            self._absorb_sat_stats(sat.stats)
-
-    def _absorb_sat_stats(self, sat_stats):
-        """Fold one SAT core's counters into this facade's statistics."""
-        stats = self.stats
-        stats["learned_clauses"] += sat_stats["learned_clauses"]
-        stats["propagations"] += sat_stats["propagations"]
-        stats["conflicts"] += sat_stats["conflicts"]
-        # Failed-assumption cores (incremental feasibility sessions): the
-        # pair gives the count and total size, hence the mean core size.
-        stats["unsat_cores"] += sat_stats["assumption_cores"]
-        stats["unsat_core_literals"] += sat_stats["core_literals"]
+            after = sat.stats
+            for ours, theirs in _SAT_COUNTERS:
+                self.stats[ours] += after[theirs] - baseline[theirs]
 
     def _theory_round(self, sat, atom_vars, literals):
         """One theory-lemma round of the DPLL(T) loop.
@@ -497,10 +496,7 @@ class FeasibilitySession:
             else:
                 self._atom_lits.append(lit[1])  # ("lit", +/-var)
         self._sat.ensure_vars(builder.num_vars)
-        self._var_to_atom = {var: atom for atom, var in atom_vars.items()}
         self._atom_vars = atom_vars
-        self._order = sorted(self._var_to_atom)
-        self._stats_baseline = dict(self._sat.stats)
         #: After a False ``feasible_prefix`` answer: a tuple of
         #: ``(atom_index, wanted_bit)`` pairs such that fixing just those
         #: polarities is already infeasible (empty tuple when the context
@@ -536,39 +532,17 @@ class FeasibilitySession:
             sat_lit = lit if want else -lit
             assumptions.append(sat_lit)
             lit_index.setdefault(sat_lit, (i, want))
-        solver = self._solver
-        sat = self._sat
-        var_to_atom = self._var_to_atom
-        atom_vars = self._atom_vars
-        solver.stats["sat_calls"] += 1
-        try:
-            for _ in range(solver.max_conflicts):
-                solver._checkpoint()
-                model = sat.solve(assumptions)
-                if model is None:
-                    # Read the failed-assumption core off the final
-                    # implication graph and map it back to atom indices:
-                    # every assumption came from the prefix, so the
-                    # lookup is total.
-                    core = sat.unsat_core()
-                    self.last_core = (
-                        tuple(lit_index[a] for a in core)
-                        if core is not None
-                        else None
-                    )
-                    return False
-                literals = tuple(
-                    (var_to_atom[var], model[var]) for var in self._order
-                )
-                if solver._theory_round(sat, atom_vars, literals):
-                    return True
-            raise SolverLimitError("exceeded conflict budget")
-        finally:
-            snapshot = dict(sat.stats)
-            solver._absorb_sat_stats(
-                effort_delta(self._stats_baseline, snapshot)
-            )
-            self._stats_baseline = snapshot
+        self._solver.stats["sat_calls"] += 1
+        for _ in self._solver._dpllt(self._sat, self._atom_vars, assumptions):
+            return True
+        # Read the failed-assumption core off the final implication graph
+        # and map it back to atom indices: every assumption came from the
+        # prefix, so the lookup is total.
+        core = self._sat.unsat_core()
+        self.last_core = (
+            tuple(lit_index[a] for a in core) if core is not None else None
+        )
+        return False
 
 
 _DEFAULT_SOLVER = Solver()

@@ -17,11 +17,8 @@ Subqueries with grouping, aggregation, or DISTINCT raise
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import ParseError, UnsupportedSQLError
 from repro.sqlparser import ast
-from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.parser import Parser
 
 

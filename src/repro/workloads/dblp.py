@@ -7,7 +7,7 @@ repair-site hints), reproduced from Tables 2 and 3 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog import Catalog
 

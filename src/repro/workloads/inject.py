@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from repro.catalog import SqlType
 from repro.core.cost import Repair, repair_cost
-from repro.logic.formulas import And, Comparison, Or, TRUE
-from repro.logic.paths import all_paths, node_at, replace_at
-from repro.logic.terms import Arith, Const, Var
+from repro.logic.formulas import And, Comparison, Or
+from repro.logic.paths import all_paths, replace_at
+from repro.logic.terms import Const, Var
 
 _FLIP = {"=": "<>", "<>": "=", "<": ">", ">": "<", "<=": ">", ">=": "<"}
 _WEAKEN = {"<": "<=", ">": ">=", "<=": "<", ">=": ">"}

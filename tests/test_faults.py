@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.pipeline import QrHint
+from repro.obs import REGISTRY, snapshot_delta
 from repro.service import (
     AssignmentSession,
     GradeError,
@@ -31,6 +33,16 @@ from repro.service.server import AdmissionController, CacheSpiller
 
 TARGET = "SELECT beer FROM Serves WHERE price > 2"
 WRONG = "SELECT beer FROM Serves WHERE price >= 2"
+# An SPJA pair that fails all five stages, each with its own hints.
+SPJA_TARGET = (
+    "SELECT bar, COUNT(*) FROM Serves WHERE price > 2 "
+    "GROUP BY bar HAVING COUNT(*) > 1"
+)
+SPJA_WRONG = (
+    "SELECT bar, SUM(price) FROM Serves, Likes WHERE price > 3 "
+    "GROUP BY bar, Serves.beer HAVING COUNT(*) > 2"
+)
+SPJA_STAGES = ("FROM", "WHERE", "GROUP BY", "HAVING", "SELECT")
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +195,44 @@ class TestDeadlineDegradation:
             second, sort_keys=True
         )
         assert "degraded" not in first
+
+
+class _ExpiresAt:
+    """A deadline whose budget runs out at exactly one stage's poll."""
+
+    def __init__(self, stage):
+        self.stage = stage
+
+    def check(self, where=""):
+        if where == self.stage:
+            raise DeadlineExceeded(f"deadline exceeded at {where}")
+
+
+class TestStageDegradation:
+    @pytest.mark.parametrize("stage", SPJA_STAGES)
+    def test_expiry_at_each_stage(self, beers_catalog, stage):
+        exact = QrHint(beers_catalog, SPJA_TARGET, SPJA_WRONG).run()
+        assert [s.stage for s in exact.stages] == list(SPJA_STAGES)
+        before = REGISTRY.snapshot()
+        report = QrHint(
+            beers_catalog, SPJA_TARGET, SPJA_WRONG, deadline=_ExpiresAt(stage)
+        ).run()
+        delta = snapshot_delta(before, REGISTRY.snapshot())
+
+        reached = SPJA_STAGES[:SPJA_STAGES.index(stage) + 1]
+        assert report.degraded and report.degraded_stage == stage
+        assert tuple(s.stage for s in report.stages) == reached
+        for got, want in zip(report.stages[:-1], exact.stages):
+            assert (got.passed, got.hints) == (want.passed, want.hints)
+        last = report.stages[-1]
+        assert [hint.kind for hint in last.hints] == ["degraded"]
+        observed = {
+            labels[0]: sum(counts)
+            for labels, (counts, _) in delta["repro_stage_seconds"]["values"]
+        }
+        assert observed == dict.fromkeys(reached, 1)
+        # The stage that ran out of time records the time it spent.
+        assert last.elapsed > 0
 
 
 class TestHttpDeadline:

@@ -175,6 +175,13 @@ class TestFailureInjection:
         )
         with pytest.raises(SolverLimitError):
             tiny.is_satisfiable(hard)
+        # find_model and feasibility sessions run the same loop, so they
+        # hit the same budget.
+        with pytest.raises(SolverLimitError):
+            tiny.find_model(hard)
+        session = tiny.feasibility_session([Comparison("=", x, y)], (hard,))
+        with pytest.raises(SolverLimitError):
+            session.feasible_prefix(0, 0)
 
     def test_engine_rejects_bool_for_numeric(self, beers_catalog):
         from repro.engine import Database
