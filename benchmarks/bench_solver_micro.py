@@ -239,7 +239,7 @@ def smt_transitivity_kernel():
 
 
 def minfix_kernel():
-    """One MinFix call over a 4-atom bound (truth table + QM + Petrick)."""
+    """One MinFix call over a 4-atom bound (truth table + primes + Petrick)."""
     solver = Solver()
     atoms = [
         Comparison(">", A, const(5)),
@@ -254,7 +254,7 @@ def minfix_kernel():
 
 
 def minfix_large_kernel():
-    """One MinFix call over a 6-atom bound (64-row truth table + QM)."""
+    """One MinFix call over a 6-atom bound (64-row truth table + primes)."""
     solver = Solver()
     atoms = [
         Comparison(">", A, const(5)),

@@ -1,4 +1,4 @@
-"""Boolean minimization substrate (Quine-McCluskey / Petrick)."""
+"""Boolean minimization substrate (prime generation / Petrick cover)."""
 
 from repro.boolmin.minimize import (
     DONT_CARE,
@@ -7,7 +7,7 @@ from repro.boolmin.minimize import (
     min_bool_exp,
     minimize_table,
 )
-from repro.boolmin.quine_mccluskey import (
+from repro.boolmin.primes import (
     implicant_covers,
     implicant_literals,
     prime_implicants,

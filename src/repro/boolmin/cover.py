@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import itertools
 
-from repro.boolmin.quine_mccluskey import implicant_covers, implicant_literals
+from repro.boolmin.primes import implicant_covers, implicant_literals
 
 _EXACT_LIMIT_PRIMES = 18
 _EXACT_LIMIT_MINTERMS = 64
 
 
 def select_cover(primes, minterms, num_vars):
-    """Choose a minimum subset of ``primes`` covering all ``minterms``."""
+    """Choose a minimum subset of ``primes`` covering all ``minterms``.
+
+    Every prime must cover at least one minterm, as those of
+    :func:`~repro.boolmin.primes.prime_implicants` do.  Ties between
+    equal-cost covers go to the earliest primes in list order.
+    """
     minterms = sorted(set(minterms))
     if not minterms:
         return []
@@ -26,19 +31,18 @@ def select_cover(primes, minterms, num_vars):
         prime: frozenset(m for m in minterms if implicant_covers(prime, m))
         for prime in primes
     }
-    useful = [p for p in primes if coverage[p]]
 
     # Essential primes first: a minterm covered by exactly one prime.
     essential = set()
     for m in minterms:
-        covering = [p for p in useful if m in coverage[p]]
+        covering = [p for p in primes if m in coverage[p]]
         if len(covering) == 1:
             essential.add(covering[0])
     covered = set()
     for p in essential:
         covered |= coverage[p]
     remaining = [m for m in minterms if m not in covered]
-    candidates = [p for p in useful if p not in essential]
+    candidates = [p for p in primes if p not in essential]
 
     if not remaining:
         return sorted(essential)

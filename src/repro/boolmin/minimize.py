@@ -10,7 +10,7 @@ supplied atoms.
 from __future__ import annotations
 
 from repro.boolmin.cover import select_cover
-from repro.boolmin.quine_mccluskey import prime_implicants
+from repro.boolmin.primes import prime_implicants
 from repro.logic.formulas import FALSE, conj, disj, neg
 
 DONT_CARE = "*"

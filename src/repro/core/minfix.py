@@ -9,7 +9,7 @@ inside the bound:
    variables;
 2. ``BuildTruthTable`` enumerates truth assignments, marking theory-
    infeasible rows and bound-gap rows as don't-cares;
-3. ``MinBoolExp`` (Quine-McCluskey/Petrick) minimizes the resulting partial
+3. ``MinBoolExp`` (prime generation + Petrick cover) minimizes the partial
    function, and the chosen implicants are rendered back over the atoms.
 """
 

@@ -1,7 +1,9 @@
 """Tests for the Boolean minimization substrate."""
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolmin import (
@@ -18,6 +20,43 @@ from repro.logic.formulas import Comparison, FALSE, TRUE
 from repro.logic.terms import const, intvar
 
 ATOMS = [Comparison("=", intvar(f"v{i}"), const(1)) for i in range(4)]
+
+
+def _qm_primes(minterms, dont_cares, num_vars):
+    """Reference: every prime of on-set + don't-cares, by Quine-McCluskey.
+
+    Merges implicants level by level; an implicant no merge consumed is
+    prime.  Slow on don't-care-heavy tables, but obviously complete.
+    """
+    current = {(m, 0) for m in set(minterms) | set(dont_cares)}
+    primes = set()
+    while current:
+        merged = set()
+        next_level = set()
+        by_mask = {}
+        for value, mask in current:
+            by_mask.setdefault(mask, set()).add(value)
+        for mask, values in by_mask.items():
+            for value in values:
+                for b in range(num_vars):
+                    bit = 1 << b
+                    if mask & bit or value & bit:
+                        continue
+                    if value | bit in values:
+                        merged.add((value, mask))
+                        merged.add((value | bit, mask))
+                        next_level.add((value, mask | bit))
+        primes |= current - merged
+        current = next_level
+    return sorted(primes)
+
+
+def _reference_primes(minterms, dont_cares, num_vars):
+    """The reference primes that cover an on-set minterm, in sorted order."""
+    return [
+        p for p in _qm_primes(minterms, dont_cares, num_vars)
+        if any(implicant_covers(p, m) for m in minterms)
+    ]
 
 
 class TestPrimeImplicants:
@@ -39,6 +78,11 @@ class TestPrimeImplicants:
         # differ in bit 1 -> implicant (1, 2).
         primes = prime_implicants([0b01], [0b11], 2)
         assert (1, 2) in primes
+
+    def test_dont_care_only_prime_is_not_generated(self):
+        # (3, 0) is prime over on-set + don't-cares, but it covers only the
+        # don't-care row, so no cover could use it.
+        assert prime_implicants([0b00], [0b11], 2) == [(0, 0)]
 
     def test_implicant_covers(self):
         assert implicant_covers((1, 2), 0b01)
@@ -139,3 +183,75 @@ def test_formula_rendering_consistent_with_cover(data):
         minterm = sum(bit << i for i, bit in enumerate(assignment))
         expected = any(implicant_covers(p, minterm) for p in cover)
         assert eval_formula(formula, env) == expected
+
+
+@st.composite
+def _partial_functions(draw):
+    """(on-set, don't-cares, num_vars) with varied row densities."""
+    num_vars = draw(st.integers(1, 8))
+    on_share = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    dc_share = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
+    rng = draw(st.randoms(use_true_random=False))
+    on, dc = [], []
+    for row in range(1 << num_vars):
+        x = rng.random()
+        if x < on_share:
+            on.append(row)
+        elif x < on_share + (1 - on_share) * dc_share:
+            dc.append(row)
+    return on, dc, num_vars
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partial_functions())
+def test_primes_match_quine_mccluskey_reference(table):
+    """Property: exactly the reference primes that cover an on-set row."""
+    on, dc, num_vars = table
+    assert prime_implicants(on, dc, num_vars) == _reference_primes(
+        on, dc, num_vars
+    )
+
+
+def _parity(num_vars):
+    on = [m for m in range(1 << num_vars) if m.bit_count() % 2]
+    return on, [], num_vars
+
+
+def _all_rows_but_one(num_vars):
+    return list(range(1, 1 << num_vars)), [], num_vars
+
+
+def _random_halves(num_vars):
+    rng = random.Random(2)
+    on = [m for m in range(1 << num_vars) if rng.random() < 0.5]
+    return on, [], num_vars
+
+
+def _sparse_on_dense_dont_care(num_vars):
+    rng = random.Random(5)
+    on = rng.sample(range(1 << num_vars), 8)
+    dc = [
+        m for m in range(1 << num_vars)
+        if m not in on and rng.random() < 0.9
+    ]
+    return on, dc, num_vars
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _parity(8),
+        _random_halves(8),
+        _all_rows_but_one(8),
+        _sparse_on_dense_dont_care(10),
+    ],
+    ids=["parity-8", "halves-8", "all-but-one-8", "sparse-on-dense-dc-10"],
+)
+def test_primes_match_reference_on_fixed_shapes(shape):
+    # Parity pins every bit, so each minterm's cube is a point; random
+    # halves leave a few free bits and many off rows (the cube walk); the
+    # last two have few off rows against wide free masks (the off-set walk).
+    on, dc, num_vars = shape
+    assert prime_implicants(on, dc, num_vars) == _reference_primes(
+        on, dc, num_vars
+    )

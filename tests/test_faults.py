@@ -280,10 +280,13 @@ class TestHttpDeadline:
 
     def test_server_cap_bounds_client_budget(self, start_server):
         # max_timeout_ms both caps explicit budgets and applies as the
-        # default -- with a 1ms cap and a slowed solver every grade
-        # degrades, even when the client asked for a huge budget.
-        FAULTS.activate("solver.slow", ms=30)
-        _, base = start_server(max_timeout_ms=1.0)
+        # default -- with a 200ms cap and a solver slowed by 400ms per
+        # round every grade degrades, even when the client asked for a
+        # huge budget.  The cap outlasts parsing and canonicalization, so
+        # the request reaches the pipeline; the solver polls the deadline
+        # before it sleeps, so the first poll after a sleep expires it.
+        FAULTS.activate("solver.slow", ms=400)
+        _, base = start_server(max_timeout_ms=200.0)
         aid = _create_assignment(base)
         status, body, _ = _post(
             base,
