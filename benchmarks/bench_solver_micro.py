@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import random
 import sys
 import time
 
@@ -187,46 +186,6 @@ A, B, C, D, E, F = (intvar(n) for n in "ABCDEF")
 _CHAIN_VARS = (A, B, C, D, E, F)
 
 
-_RANDOM3_SEED = 0x5EED
-_RANDOM3_VARS = 100
-_RANDOM3_CLAUSES = 420  # ratio 4.2: conflict-heavy but tractable
-
-
-def _random3_instance():
-    rng = random.Random(_RANDOM3_SEED)
-    clauses = [
-        [rng.choice([1, -1]) * v
-         for v in rng.sample(range(1, _RANDOM3_VARS + 1), 3)]
-        for _ in range(_RANDOM3_CLAUSES)
-    ]
-    pool = [rng.choice([1, -1]) * v
-            for v in rng.sample(range(1, _RANDOM3_VARS + 1), 12)]
-    return clauses, pool
-
-
-def sat_random3_incremental_kernel(solver_cls=SatSolver):
-    """Random 3-CNF solved under growing assumption sequences.
-
-    One persistent solver answers 13 queries whose assumption lists are
-    prefixes of a fixed random literal pool, exercising first-UIP
-    learning and the kept-trail assumption-prefix reuse.  Returns the
-    per-prefix verdicts; sanity
-    (and determinism) is asserted via UNSAT monotonicity.
-    """
-    clauses, pool = _random3_instance()
-    solver = solver_cls()
-    solver.ensure_vars(_RANDOM3_VARS)
-    for clause in clauses:
-        solver.add_clause(clause)
-    verdicts = []
-    for length in range(len(pool) + 1):
-        verdicts.append(solver.solve(pool[:length]) is not None)
-    # Assumption sets only grow, so satisfiability can only decay.
-    for earlier, later in zip(verdicts, verdicts[1:]):
-        assert earlier or not later, verdicts
-    return verdicts
-
-
 def smt_transitivity_kernel():
     """Fresh-solver UNSAT check of a 6-variable `<` cycle (theory-driven)."""
     solver = Solver()
@@ -316,7 +275,6 @@ def main():
     }
 
     for name, fn in [
-        ("sat_random3_incremental", sat_random3_incremental_kernel),
         ("smt_transitivity", smt_transitivity_kernel),
         ("minfix_small", minfix_kernel),
         ("minfix_large", minfix_large_kernel),

@@ -27,23 +27,25 @@ class TruthTable:
         self.num_vars = num_vars
         self.outputs = dict(outputs or {})
 
-    def set(self, minterm, value):
-        if value not in (0, 1, DONT_CARE):
-            raise ValueError(f"invalid output {value!r}")
-        self.outputs[minterm] = value
+    @classmethod
+    def from_bitsets(cls, num_vars, on, dont_care):
+        """The table valued ``*`` on ``dont_care``, else 1 on ``on``.
 
-    def fill_stride(self, base, stride, value):
-        """Set every minterm in ``range(base, 2**num_vars, stride)``.
-
-        Bulk form of :meth:`set` for whole subtrees (a fixed low-bit prefix
-        with all high-bit completions); one dict update instead of a Python
-        loop of per-row calls.
+        Both are bitsets over rows: bit ``r`` stands for minterm ``r``.
         """
-        if value not in (0, 1, DONT_CARE):
-            raise ValueError(f"invalid output {value!r}")
-        self.outputs.update(
-            dict.fromkeys(range(base, 1 << self.num_vars, stride), value)
-        )
+        outputs = dict.fromkeys(_set_bits(dont_care), DONT_CARE)
+        outputs.update(dict.fromkeys(_set_bits(on & ~dont_care), 1))
+        return cls(num_vars, outputs)
+
+    def bitsets(self):
+        """``(on, dont_care)``: the rows valued 1 and ``*``, as bitsets."""
+        on = dont_care = 0
+        for minterm, value in self.outputs.items():
+            if value == 1:
+                on |= 1 << minterm
+            elif value == DONT_CARE:
+                dont_care |= 1 << minterm
+        return on, dont_care
 
     def output(self, minterm):
         return self.outputs.get(minterm, 0)
@@ -55,6 +57,11 @@ class TruthTable:
     @property
     def dc_set(self):
         return [m for m, v in self.outputs.items() if v == DONT_CARE]
+
+
+def _set_bits(bits):
+    """The positions of the set bits of ``bits``, ascending."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
 def minimize_table(table):

@@ -132,8 +132,8 @@ def build_parser():
         "--solver-stats",
         action="store_true",
         help="print SAT/SMT solver counters (calls, cache hit-rate, learned "
-        "clauses, propagations, conflicts, theory-cache hits, "
-        "failed-assumption cores and their total size) after the run",
+        "clauses, propagations, conflicts, theory-cache hits, infeasible "
+        "truth-table component assignments) after the run",
     )
     hint.set_defaults(func=cmd_hint)
 

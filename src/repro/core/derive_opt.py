@@ -14,16 +14,14 @@ are distributed back to their member sites by syntactic similarity.
 
 from __future__ import annotations
 
-from repro.boolmin import DONT_CARE, TruthTable, min_bool_exp
+from repro.boolmin import TruthTable, min_bool_exp
 from repro.core.derive_fixes import distribute_fixes
 from repro.core.minfix import build_truth_table, map_atom_preds
 from repro.errors import RepairError, SolverLimitError
-from repro.logic.formulas import And, BoolConst, Comparison, Not, Or
-from repro.logic.paths import node_at
+from repro.logic.formulas import FALSE, TRUE, And, Comparison, Or
+from repro.logic.paths import node_at, replace_at
 
 MAX_TOTAL_VARS = 18
-
-IRRELEVANT = "*"
 
 
 class _Site:
@@ -76,15 +74,22 @@ def min_fix_mult(predicate, paths, lower, upper, solver, context=()):
         )
 
     target_table = build_truth_table(mapping, lower, upper, solver, context)
-    feasibility = _init_feasibility(predicate, sites, mapping, target_table, num_s)
+    relevant, ok = _site_feasibility(predicate, sites, mapping, target_table)
 
     site_fixes = {}
     remaining = list(range(num_s))
     while remaining:
-        index, site_table = _pick_site(feasibility, remaining, num_a)
+        index, site_table = _pick_site(ok, relevant, remaining, mapping)
         fix = min_bool_exp(site_table, mapping.atoms)
         site_fixes[index] = fix
-        feasibility = _update_feasibility(feasibility, index, fix, mapping)
+        # Algorithm 8, ``UpdateFeasibility``: wire site ``index`` to its fix.
+        fix_rows = mapping.rows(fix)
+        ok = [
+            options & (fix_rows if assignment >> index & 1 else ~fix_rows)
+            for assignment, options in enumerate(ok)
+        ]
+        if not _covered(relevant, ok):
+            raise RepairError("feasibility collapsed while wiring a site fix")
         remaining.remove(index)
 
     fixes = {}
@@ -120,103 +125,67 @@ def _atoms_outside(predicate, paths):
     return out
 
 
-def _eval_with_sites(node, path, sites, mapping, a_assign, s_assign):
-    """Evaluate the predicate with (possibly merged) sites as variables."""
-    for index, site in enumerate(sites):
-        if path in site.paths and not site.is_group:
-            return bool(s_assign & (1 << index))
-    if isinstance(node, BoolConst):
-        return node.value
-    if isinstance(node, Comparison):
-        return mapping.evaluate(node, a_assign)
-    if isinstance(node, Not):
-        return not _eval_with_sites(
-            node.child, path + (0,), sites, mapping, a_assign, s_assign
+def _site_feasibility(predicate, sites, mapping, target_table):
+    """Algorithm 8, ``InitFeasibility``, as bitsets over outside-atom rows.
+
+    Returns ``(relevant, ok)``: ``relevant`` holds the rows where the
+    target is not a don't-care, and bit ``a`` of ``ok[s]`` says that site
+    assignment ``s`` (bit ``j`` is the value of site ``j``) makes the
+    predicate agree with the target on relevant row ``a``.
+    """
+    target_on, target_dont_care = target_table.bitsets()
+    relevant = mapping.full & ~target_dont_care
+    ok = []
+    for assignment in range(1 << len(sites)):
+        # A merged site stands for all its members at once: under an AND
+        # (OR) parent, members sharing one value act as their AND (OR).
+        constants = {
+            path: TRUE if assignment >> j & 1 else FALSE
+            for j, site in enumerate(sites)
+            for path in site.paths
+        }
+        site_rows = mapping.rows(replace_at(predicate, constants))
+        ok.append(relevant & ~(site_rows ^ target_on))
+    if not _covered(relevant, ok):
+        raise RepairError(
+            "no feasible site assignment for a required truth row; "
+            "the candidate repair sites are not viable"
         )
-    if isinstance(node, (And, Or)):
-        is_and = isinstance(node, And)
-        values = []
-        group_done = set()
-        for i, child in enumerate(node.children()):
-            child_path = path + (i,)
-            member_of = None
-            for index, site in enumerate(sites):
-                if site.is_group and child_path in site.paths:
-                    member_of = index
-                    break
-            if member_of is not None:
-                if member_of not in group_done:
-                    group_done.add(member_of)
-                    values.append(bool(s_assign & (1 << member_of)))
-                continue
-            values.append(
-                _eval_with_sites(child, child_path, sites, mapping, a_assign, s_assign)
-            )
-        return all(values) if is_and else any(values)
-    raise TypeError(f"unexpected node {node!r}")
+    return relevant, ok
 
 
-def _init_feasibility(predicate, sites, mapping, target_table, num_s):
-    """Algorithm 8, ``InitFeasibility``."""
-    feasibility = {}
-    for a_assign in range(2**mapping.num_vars):
-        target = target_table.output(a_assign)
-        if target == DONT_CARE:
-            feasibility[a_assign] = IRRELEVANT
+def _covered(relevant, ok):
+    """True iff every relevant row has at least one feasible assignment."""
+    union = 0
+    for options in ok:
+        union |= options
+    return not relevant & ~union
+
+
+def _pick_site(ok, relevant, remaining, mapping):
+    """Algorithm 8, ``PickSite``: most-constrained site first.
+
+    Scores are summed over the relevant rows in ascending order.
+    """
+    rows = 1 << mapping.num_vars
+    digits = [format(bits, f"0{rows}b")[::-1] for bits in (relevant, *ok)]
+    scores = dict.fromkeys(remaining, 0.0)
+    for flags in zip(*digits):
+        if flags[0] == "0":
             continue
-        options = set()
-        for s_assign in range(2**num_s):
-            value = _eval_with_sites(
-                predicate, (), sites, mapping, a_assign, s_assign
-            )
-            if int(value) == target:
-                options.add(s_assign)
-        if not options:
-            raise RepairError(
-                "no feasible site assignment for a required truth row; "
-                "the candidate repair sites are not viable"
-            )
-        feasibility[a_assign] = options
-    return feasibility
-
-
-def _pick_site(feasibility, remaining, num_a):
-    """Algorithm 8, ``PickSite``: most-constrained site first."""
-    scores = {i: 0.0 for i in remaining}
-    for a_assign in range(2**num_a):
-        options = feasibility[a_assign]
-        if options == IRRELEVANT:
-            continue
+        options = [u for u, flag in enumerate(flags[1:]) if flag == "1"]
         total = len(options)
         for i in remaining:
             ones = sum(1 for u in options if u & (1 << i))
             scores[i] += abs(ones / total - 0.5)
     chosen = max(remaining, key=lambda i: scores[i])
 
-    table = TruthTable(num_a)
-    for a_assign in range(2**num_a):
-        options = feasibility[a_assign]
-        if options == IRRELEVANT:
-            table.set(a_assign, DONT_CARE)
-            continue
-        values = {1 if u & (1 << chosen) else 0 for u in options}
-        if len(values) == 1:
-            table.set(a_assign, values.pop())
+    # Rows where every feasible assignment sets (clears) the chosen site.
+    forced_on = forced_off = relevant
+    for assignment, options in enumerate(ok):
+        if assignment >> chosen & 1:
+            forced_off &= ~options
         else:
-            table.set(a_assign, DONT_CARE)
-    return chosen, table
-
-
-def _update_feasibility(feasibility, index, fix_formula, mapping):
-    """Algorithm 8, ``UpdateFeasibility``: wire site ``index`` to its fix."""
-    updated = {}
-    for a_assign, options in feasibility.items():
-        if options == IRRELEVANT:
-            updated[a_assign] = IRRELEVANT
-            continue
-        value = mapping.evaluate(fix_formula, a_assign)
-        narrowed = {u for u in options if bool(u & (1 << index)) == value}
-        if not narrowed:
-            raise RepairError("feasibility collapsed while wiring a site fix")
-        updated[a_assign] = narrowed
-    return updated
+            forced_on &= ~options
+    dont_care = mapping.full & ~(forced_on | forced_off)
+    return chosen, TruthTable.from_bitsets(mapping.num_vars, forced_on, dont_care)

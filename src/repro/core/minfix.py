@@ -7,17 +7,22 @@ inside the bound:
    the bound formulas (merging atoms that are equivalent, or equivalent up
    to negation, under the ambient context) and maps them to Boolean
    variables;
-2. ``BuildTruthTable`` enumerates truth assignments, marking theory-
-   infeasible rows and bound-gap rows as don't-cares;
+2. ``BuildTruthTable`` marks theory-infeasible rows and bound-gap rows as
+   don't-cares, with every row set held as one bitset;
 3. ``MinBoolExp`` (prime generation + Petrick cover) minimizes the partial
    function, and the chosen implicants are rendered back over the atoms.
+
+A *row* is one truth assignment of the ``n`` mapped atoms, an int in
+``[0, 2**n)`` whose bit ``i`` is the value of atom ``i``.  A *bitset* over
+rows is an int whose bit ``r`` stands for row ``r``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.boolmin import DONT_CARE, TruthTable, min_bool_exp, minimize_table
+from repro.boolmin import TruthTable, min_bool_exp, minimize_table
 from repro.boolmin.minimize import implicants_to_formula
 from repro.errors import SolverLimitError
 from repro.logic.formulas import (
@@ -46,10 +51,30 @@ class AtomMapping:
     def num_vars(self):
         return len(self.atoms)
 
-    def evaluate(self, formula, assignment):
-        """Evaluate ``formula`` propositionally under the assignment."""
+    @cached_property
+    def full(self):
+        """The bitset of all ``2**num_vars`` rows."""
+        return (1 << (1 << self.num_vars)) - 1
+
+    @cached_property
+    def columns(self):
+        """``columns[i]``: the bitset of the rows where atom ``i`` holds."""
+        rows = 1 << self.num_vars
+        columns = []
+        for i in range(self.num_vars):
+            # Rows alternate in runs of 2**i; double the first period.
+            half = 1 << i
+            pattern, width = ((1 << half) - 1) << half, 2 * half
+            while width < rows:
+                pattern |= pattern << width
+                width *= 2
+            columns.append(pattern)
+        return columns
+
+    def rows(self, formula):
+        """The bitset of the rows where ``formula`` holds."""
         if isinstance(formula, BoolConst):
-            return formula.value
+            return self.full if formula.value else 0
         if isinstance(formula, Comparison):
             entry = self.polarity.get(formula)
             if entry is None:
@@ -61,14 +86,20 @@ class AtomMapping:
                 index, positive = complement[0], not complement[1]
             else:
                 index, positive = entry
-            bit = bool(assignment & (1 << index))
-            return bit if positive else not bit
+            column = self.columns[index]
+            return column if positive else self.full ^ column
         if isinstance(formula, Not):
-            return not self.evaluate(formula.child, assignment)
+            return self.full ^ self.rows(formula.child)
         if isinstance(formula, And):
-            return all(self.evaluate(c, assignment) for c in formula.operands)
+            rows = self.full
+            for operand in formula.operands:
+                rows &= self.rows(operand)
+            return rows
         if isinstance(formula, Or):
-            return any(self.evaluate(c, assignment) for c in formula.operands)
+            rows = 0
+            for operand in formula.operands:
+                rows |= self.rows(operand)
+            return rows
         raise TypeError(f"unexpected formula {formula!r}")
 
 
@@ -125,205 +156,68 @@ def map_atom_preds(formulas, solver, context=()):
 def build_truth_table(mapping, lower, upper, solver, context=()):
     """``BuildTruthTable`` (Algorithm 6 subroutine).
 
-    Output per assignment: don't-care if the literal conjunction is theory-
-    infeasible or if the bound leaves slack (l=0, u=1); otherwise the shared
-    truth value of ``lower`` and ``upper``.
+    A row is a don't-care if its literal conjunction is theory-infeasible
+    under ``context`` or if the bound leaves slack there (l=0, u=1);
+    otherwise its output is the shared value of ``lower`` and ``upper``.
 
-    Enumeration is a DFS over atom polarities with partial-assignment
-    feasibility pruning: once a literal prefix is theory-inconsistent,
-    every completion is a don't-care and the subtree is skipped.  When the
-    context consists of atomic conjuncts only, feasibility goes straight to
-    the theory layer (no SAT search); otherwise the SMT facade is used.
-
-    Pruning is core-guided: every infeasible answer comes with an unsat
-    core (failed SAT assumptions from the incremental
-    ``FeasibilitySession``, or a shrunk theory core on the theory-direct
-    path), recorded as a ``(mask, bits)`` pair over atom indices.  A DFS
-    node whose assigned prefix already matches a known core is refuted
-    without any solver work at all -- the subtree is don't-cared outright
-    (counter: ``core_pruned_subtrees``) even though this particular prefix
-    was never queried.
+    The theories reason only about base terms (``Var`` and ``AggCall``), so
+    a conjunction is feasible iff the part of it in each component -- the
+    atoms and context conjuncts linked by shared base terms -- is.  Each
+    component's ``2**k`` assignments are decided once with
+    ``solver.is_satisfiable``, and an infeasible one turns its whole
+    sub-cube of rows into don't-cares (counter: ``core_pruned_subtrees``).
+    One component of ``MAX_UNIQUE_ATOMS`` atoms is the worst case.
     """
-    table = TruthTable(mapping.num_vars)
-    checker = _FeasibilityChecker(mapping, solver, context)
-    cores = checker.cores
-    stats = getattr(solver, "stats", None)
-    # The theory-direct fast path never enters the solver's DPLL(T) loop
-    # (and so never hits its deadline checkpoint); poll the attached
-    # deadline here every 64 DFS nodes instead.
-    deadline = getattr(solver, "deadline", None)
-    poll_stride = 64
-    polls = 0
-
-    def record(assignment):
-        low = mapping.evaluate(lower, assignment)
-        high = mapping.evaluate(upper, assignment)
-        if low == high:
-            table.set(assignment, 1 if low else 0)
-        else:
-            table.set(assignment, DONT_CARE)
-
-    def dfs(index, assignment):
-        nonlocal polls
-        if deadline is not None:
-            polls += 1
-            if polls >= poll_stride:
-                polls = 0
-                deadline.check("minfix")
-        bound = 1 << index
-        for cmask, cbits in cores:
-            # A core confined to the assigned bits (< bound) that the
-            # prefix matches refutes the whole subtree -- no query needed.
-            if cmask < bound and assignment & cmask == cbits:
-                table.fill_stride(assignment, bound, DONT_CARE)
-                if stats is not None:
-                    stats["core_pruned_subtrees"] = (
-                        stats.get("core_pruned_subtrees", 0) + 1
-                    )
-                return
-        if not checker.feasible_prefix(assignment, index):
-            # Every completion of the infeasible prefix shares the low bits:
-            # the subtree is exactly range(assignment, 2**n, 2**index).
-            table.fill_stride(assignment, bound, DONT_CARE)
-            return
-        if index == mapping.num_vars:
-            record(assignment)
-            return
-        dfs(index + 1, assignment)
-        dfs(index + 1, assignment | (1 << index))
-
-    dfs(0, 0)
-    return table
+    full, columns = mapping.full, mapping.columns
+    infeasible = 0
+    for indices, conjuncts in _components(mapping.atoms, context):
+        for bits in range(1 << len(indices)):
+            literals = []
+            cube = full
+            for j, index in enumerate(indices):
+                atom = mapping.atoms[index]
+                if bits >> j & 1:
+                    literals.append(atom)
+                    cube &= columns[index]
+                else:
+                    literals.append(neg(atom))
+                    cube &= full ^ columns[index]
+            if not solver.is_satisfiable(conj(*literals), conjuncts):
+                infeasible |= cube
+                solver.stats["core_pruned_subtrees"] += 1
+    low, high = mapping.rows(lower), mapping.rows(upper)
+    return TruthTable.from_bitsets(mapping.num_vars, low, infeasible | low ^ high)
 
 
-class _FeasibilityChecker:
-    """Feasibility of literal prefixes, with a theory-direct fast path.
+def _components(atoms, context):
+    """``(atom indices, conjuncts)`` per group sharing base terms.
 
-    When every atom and context conjunct canonicalizes, prefix queries go
-    straight to the theory layer (no SAT search at all).  Otherwise a
-    single incremental :class:`~repro.solver.smt.FeasibilitySession` is
-    shared by the whole truth-table DFS: the context is encoded once, the
-    SAT trail persists between prefixes (consecutive DFS nodes share long
-    assumption prefixes), and theory lemmas learned under one prefix prune
-    every later one -- instead of a fresh feasibility solve per node.
+    Members are the atoms, in index order, then the context's conjuncts
+    (top-level ANDs flattened, TRUE dropped).  A conjunct linked to no atom
+    forms a component of its own, with no atoms.
     """
-
-    def __init__(self, mapping, solver, context):
-        self.mapping = mapping
-        self.solver = solver
-        self.context = tuple(context)
-        self._literals = self._try_canonicalize()
-        self._context_prefix = None
-        self._atom_pairs = None
-        self._session = None
-        #: Discovered infeasibility cores as ``(mask, bits)`` pairs over
-        #: atom indices: any assignment with ``assignment & mask == bits``
-        #: is theory-infeasible.  The truth-table DFS scans this list to
-        #: refute whole subtrees without a query.
-        self.cores = []
-        self._core_keys = set()
-        if self._literals is not None:
-            atom_literals, context_literals = self._literals
-            # Canonical-order the context once; per-prefix queries then just
-            # append atom literals in index order (the theory cache keys on
-            # a frozenset, so any fixed order is canonical).
-            self._context_prefix = tuple(sorted(context_literals, key=str))
-            self._atom_pairs = [
-                ((lit.atom, lit.positive), (lit.atom, not lit.positive))
-                for lit in atom_literals
-            ]
-            self._context_set = frozenset(self._context_prefix)
-            # (atom, polarity) theory literal -> (atom index, wanted bit);
-            # first writer wins on aliased atoms (either explanation is
-            # sound).
-            self._lit_to_bit = {}
-            for i, (when_set, when_clear) in enumerate(self._atom_pairs):
-                self._lit_to_bit.setdefault(when_set, (i, True))
-                self._lit_to_bit.setdefault(when_clear, (i, False))
-
-    def _try_canonicalize(self):
-        from repro.logic.formulas import And as _And, BoolConst as _BoolConst
-        from repro.solver.atoms import CanonicalLiteral, canonicalize
-
-        atom_literals = []
-        for atom in self.mapping.atoms:
-            lit = canonicalize(atom)
-            if not isinstance(lit, CanonicalLiteral):
-                return None
-            atom_literals.append(lit)
-        context_literals = []
-        pending = list(self.context)
-        while pending:
-            formula = pending.pop()
-            if isinstance(formula, _BoolConst):
-                if not formula.value:
-                    return None  # context unsatisfiable; slow path decides
-                continue
-            if isinstance(formula, _And):
-                pending.extend(formula.operands)
-                continue
-            if formula.is_atomic():
-                lit = canonicalize(formula)
-                if isinstance(lit, bool):
-                    if not lit:
-                        return None  # context unsatisfiable; slow path decides
-                    continue
-                context_literals.append((lit.atom, lit.positive))
-                continue
-            return None  # non-literal context: use the SMT facade
-        return atom_literals, tuple(context_literals or ())
-
-    def feasible_prefix(self, assignment, length):
-        if self._literals is None:
-            return self._feasible_slow(assignment, length)
-        pairs = self._atom_pairs
-        literals = list(self._context_prefix)
-        for i in range(length):
-            when_set, when_clear = pairs[i]
-            literals.append(when_set if assignment & (1 << i) else when_clear)
-        if not literals:
-            return True
-        if self.solver._theory_ok(tuple(literals)):
-            return True
-        # Shrink the inconsistent set (memoized in the owning solver) and
-        # record it as a (mask, bits) core over atom indices.  Context
-        # literals hold for every prefix, so they contribute no bits.
-        mask = bits = 0
-        for literal in self.solver._shrink_core(tuple(literals)):
-            if literal in self._context_set:
-                continue
-            hit = self._lit_to_bit.get(literal)
-            if hit is None:
-                return False  # unmapped literal: skip recording
-            index, want = hit
-            mask |= 1 << index
-            if want:
-                bits |= 1 << index
-        self._add_core(mask, bits)
-        return False
-
-    def _feasible_slow(self, assignment, length):
-        if self._session is None:
-            self._session = self.solver.feasibility_session(
-                self.mapping.atoms, self.context
-            )
-        if self._session.feasible_prefix(assignment, length):
-            return True
-        pairs = self._session.last_core
-        if pairs is not None:
-            mask = bits = 0
-            for index, want in pairs:
-                mask |= 1 << index
-                if want:
-                    bits |= 1 << index
-            self._add_core(mask, bits)
-        return False
-
-    def _add_core(self, mask, bits):
-        key = (mask, bits)
-        if key not in self._core_keys:
-            self._core_keys.add(key)
-            self.cores.append(key)
+    whole = conj(*context)
+    conjuncts = whole.operands if isinstance(whole, And) else (
+        () if whole == TRUE else (whole,)
+    )
+    components = []  # (base terms, member indices)
+    for index, member in enumerate([*atoms, *conjuncts]):
+        terms = member.variables() | member.aggregates()
+        members = [index]
+        unlinked = []
+        for other_terms, other_members in components:
+            if other_terms & terms:
+                terms |= other_terms
+                members += other_members
+            else:
+                unlinked.append((other_terms, other_members))
+        components = [*unlinked, (terms, sorted(members))]
+    n = len(atoms)
+    return [
+        ([i for i in members if i < n],
+         tuple(conjuncts[i - n] for i in members if i >= n))
+        for _, members in components
+    ]
 
 
 def min_fix(lower, upper, solver, context=()):
@@ -357,13 +251,8 @@ def min_fix_pos(lower, upper, solver, context=()):
     if mapping.num_vars > MAX_UNIQUE_ATOMS:
         raise SolverLimitError("MinFix (POS) atom budget exceeded")
     table = build_truth_table(mapping, lower, upper, solver, context)
-    flipped = TruthTable(table.num_vars)
-    for assignment in range(2**table.num_vars):
-        value = table.output(assignment)
-        if value == DONT_CARE:
-            flipped.set(assignment, DONT_CARE)
-        else:
-            flipped.set(assignment, 1 - value)
+    on, dont_care = table.bitsets()
+    flipped = TruthTable.from_bitsets(table.num_vars, mapping.full ^ on, dont_care)
     implicants = minimize_table(flipped)
     if not implicants:
         return TRUE

@@ -1,8 +1,8 @@
 """Per-request solver-effort attribution: counter snapshot/delta plumbing.
 
 Wall-clock latency says a grade was slow; *effort* says why: how many
-SAT solves, propagations, conflicts, theory rounds, learned clauses,
-and unsat cores the solver burned serving it.  This module
+SAT solves, propagations, conflicts, theory rounds, learned clauses and
+infeasible truth-table assignments the solver burned serving it.  This module
 snapshots the existing ``Solver.stats_snapshot()`` counters around a
 unit of work and reports the delta -- the exact discipline the batch
 workers already use to ship solver counters back to the parent, applied
@@ -37,8 +37,6 @@ EFFORT_KEYS = (
     "theory_cache_hits",
     "cache_hits",
     "learned_clauses",
-    "unsat_cores",
-    "unsat_core_literals",
     "core_pruned_subtrees",
 )
 

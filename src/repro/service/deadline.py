@@ -2,9 +2,9 @@
 
 A :class:`Deadline` is a wall-clock budget created at request entry
 (HTTP ``timeout_ms``, CLI ``--timeout-ms``) and threaded down through
-:class:`repro.core.pipeline.QrHint`, the MinFix truth-table search, and
-the DPLL(T) solver loops.  The deep layers poll it at cheap checkpoints
-(once per solver round / every few hundred DFS nodes) via
+:class:`repro.core.pipeline.QrHint` to the DPLL(T) solver loops, which
+MinFix's truth tables also run through.  The deep layers poll it at a
+cheap checkpoint (once per solver round) via
 :meth:`Deadline.check`, which raises :class:`DeadlineExceeded` once the
 budget is spent.  The pipeline catches the exception at stage
 granularity and returns a best-effort *partial* report (stages graded so
@@ -61,7 +61,8 @@ class Deadline:
     def check(self, where: str = "") -> None:
         """Raise :class:`DeadlineExceeded` if the budget is spent.
 
-        ``where`` names the checkpoint (``"solver"``, ``"minfix"``, a
+        ``where`` names the checkpoint (``"solver"``, polled once per
+        DPLL(T) round, which MinFix's truth tables also run through; or a
         stage name) and is carried in the exception message so degraded
         reports can say which layer ran out of time.
         """

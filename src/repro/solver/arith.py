@@ -113,15 +113,27 @@ def is_satisfiable(constraints, disequalities=()):
 
 def _feasible(constraints):
     """Fourier-Motzkin feasibility of a system of (in)equalities."""
+    return _eliminate(constraints) is not None
+
+
+def _eliminate(constraints):
+    """Gaussian + Fourier-Motzkin elimination; None if infeasible.
+
+    On success returns ``(substitutions, eliminated)``: the Gaussian
+    ``(var, replacement)`` pairs and the FM ``(var, constraints that
+    mention it)`` pairs, each in elimination order, from which
+    :func:`_feasible_model` back-substitutes a model.
+    """
     equalities = [c for c in constraints if c.rel == EQ]
     inequalities = [c for c in constraints if c.rel != EQ]
 
     # Gaussian elimination on equalities.
+    substitutions = []
     while equalities:
         eq = equalities.pop()
         if eq.expr.is_constant:
             if eq.expr.constant != 0:
-                return False
+                return None
             continue
         var, coeff = eq.expr.coeffs[0]
         # var = -(rest) / coeff
@@ -129,6 +141,7 @@ def _feasible(constraints):
             {t: c for t, c in eq.expr.coeffs if t != var}, eq.expr.constant
         )
         replacement = rest.scale(Fraction(-1) / coeff)
+        substitutions.append((var, replacement))
         equalities = [
             Constraint(_substitute(e.expr, var, replacement), EQ) for e in equalities
         ]
@@ -138,31 +151,28 @@ def _feasible(constraints):
         ]
 
     # Re-tighten after substitution (it may have changed integrality).
-    inequalities = [c.tightened() for c in inequalities]
-    return _fm(inequalities)
-
-
-def _fm(inequalities):
-    """Fourier-Motzkin elimination over pure inequalities."""
-    pending = list(inequalities)
+    pending = [c.tightened() for c in inequalities]
+    eliminated = []
     while True:
-        constants = [c for c in pending if c.expr.is_constant]
-        for c in constants:
-            if not _check_constant(c):
-                return False
+        for c in pending:
+            if c.expr.is_constant and not _check_constant(c):
+                return None
         pending = _dedupe([c for c in pending if not c.expr.is_constant])
         if not pending:
-            return True
+            return substitutions, eliminated
         var = _pick_variable(pending)
-        lowers, uppers, others = [], [], []
+        with_var, lowers, uppers, others = [], [], [], []
         for c in pending:
             coeff = dict(c.expr.coeffs).get(var, Fraction(0))
             if coeff == 0:
                 others.append(c)
-            elif coeff > 0:
+                continue
+            with_var.append(c)
+            if coeff > 0:
                 uppers.append((c, coeff))  # coeff*var + rest rel 0 -> upper bound
             else:
                 lowers.append((c, coeff))
+        eliminated.append((var, with_var))
         combined = []
         for up_c, up_coeff in uppers:
             for low_c, low_coeff in lowers:
@@ -345,61 +355,10 @@ def find_model(constraints, disequalities=()):
 
 def _feasible_model(constraints):
     """Like :func:`_feasible`, but reconstruct a model on success."""
-    equalities = [c for c in constraints if c.rel == EQ]
-    inequalities = [c for c in constraints if c.rel != EQ]
-
-    substitutions = []  # (var, replacement) in Gaussian elimination order
-    while equalities:
-        eq = equalities.pop()
-        if eq.expr.is_constant:
-            if eq.expr.constant != 0:
-                return None
-            continue
-        var, coeff = eq.expr.coeffs[0]
-        rest = LinExpr.build(
-            {t: c for t, c in eq.expr.coeffs if t != var}, eq.expr.constant
-        )
-        replacement = rest.scale(Fraction(-1) / coeff)
-        substitutions.append((var, replacement))
-        equalities = [
-            Constraint(_substitute(e.expr, var, replacement), EQ)
-            for e in equalities
-        ]
-        inequalities = [
-            Constraint(_substitute(i.expr, var, replacement), i.rel)
-            for i in inequalities
-        ]
-
-    inequalities = [c.tightened() for c in inequalities]
-    eliminated = []  # (var, constraints that mention it) in FM order
-    pending = list(inequalities)
-    while True:
-        for c in pending:
-            if c.expr.is_constant and not _check_constant(c):
-                return None
-        pending = _dedupe([c for c in pending if not c.expr.is_constant])
-        if not pending:
-            break
-        var = _pick_variable(pending)
-        with_var, lowers, uppers, others = [], [], [], []
-        for c in pending:
-            coeff = dict(c.expr.coeffs).get(var, Fraction(0))
-            if coeff == 0:
-                others.append(c)
-                continue
-            with_var.append(c)
-            if coeff > 0:
-                uppers.append((c, coeff))
-            else:
-                lowers.append((c, coeff))
-        eliminated.append((var, with_var))
-        combined = []
-        for up_c, up_coeff in uppers:
-            for low_c, low_coeff in lowers:
-                expr = up_c.expr.scale(-low_coeff).add(low_c.expr.scale(up_coeff))
-                rel = LT if (up_c.rel == LT or low_c.rel == LT) else LE
-                combined.append(Constraint(expr, rel).tightened())
-        pending = others + combined
+    result = _eliminate(constraints)
+    if result is None:
+        return None
+    substitutions, eliminated = result
 
     # Back-substitution: variables eliminated last get values first, so
     # every recorded constraint evaluates to a one-variable interval.

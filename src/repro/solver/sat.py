@@ -4,7 +4,7 @@ Clauses are lists of non-zero integers; a positive integer ``v`` is the
 variable ``v``, a negative integer its negation (DIMACS convention).
 
 The engine is a plain MiniSat-lineage CDCL loop, kept to what the lazy
-SMT loop and MinFix's feasibility DFS exercise:
+SMT loop exercises:
 
 * **flat clause arena** -- all clause literals live in one flat list; a
   clause is an integer offset (``cref``) to its first literal, with its
@@ -20,13 +20,11 @@ SMT loop and MinFix's feasibility DFS exercise:
 * **first-UIP conflict analysis** with non-chronological backjumping;
 * **VSIDS branching** (a lazy max-heap of ``(-activity, var)`` that
   tolerates stale entries) and **phase saving** (default phase False);
-* **incremental solving under assumptions with kept-trail reuse** --
-  ``solve(assumptions)`` asserts the assumptions as pseudo-decisions
-  below the search; clauses, learned clauses and saved phases persist
-  across calls, and the trail of a SAT result is kept: the next call
-  backtracks only to the longest assumption prefix it shares with the
-  last one.  After UNSAT, :meth:`unsat_core` names the failed
-  assumptions (MiniSat's ``analyzeFinal``).
+* **incremental solving with a kept trail** -- clauses, learned clauses
+  and saved phases persist across ``solve`` calls, and the trail of a SAT
+  result is kept: a clause added before the next call unwinds it only as
+  far as the clause forces, which is what the DPLL(T) loop's blocking
+  clauses rely on.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ _ACTIVITY_LIMIT = 1e100
 
 
 class SatSolver:
-    """Incremental CDCL solver (arena, watched literals, VSIDS, assumptions)."""
+    """Incremental CDCL solver (arena, watched literals, VSIDS, kept trail)."""
 
     def __init__(self):
         self._arena = []  # [size, lit0, .., litn-1] per clause; cref -> lit0
@@ -57,18 +55,13 @@ class SatSolver:
         self._qhead = 0  # propagation frontier into the trail
         self._pending = []  # unit literals awaiting top-level propagation
         self._unsat = False  # the database is unsatisfiable outright
-        self._assumptions = []  # assumptions of the solve in progress
-        self._assumed = []  # assumptions backing the kept trail (last SAT)
         self._last_model = None  # {var: bool} of the last SAT solve
-        self._conflict_core = None  # failed-assumption core of the last UNSAT
         self.stats = {
             "solve_calls": 0,
             "decisions": 0,
             "propagations": 0,
             "conflicts": 0,
             "learned_clauses": 0,
-            "assumption_cores": 0,
-            "core_literals": 0,
         }
 
     def model(self):
@@ -205,52 +198,18 @@ class SatSolver:
     # Solving
     # ------------------------------------------------------------------
 
-    def solve(self, assumptions=()):
+    def solve(self):
         """Return a model as {var: bool}, or None if unsatisfiable.
 
-        ``assumptions`` hold only for this call; clauses learned under
-        them are derived by resolution from the database alone, so
-        everything learned stays valid for every future call.  The trail
-        of a SAT result is kept; the next call backtracks only to the
-        longest assumption prefix shared with this one.
-
-        After an UNSAT result :meth:`unsat_core` names the subset of
-        ``assumptions`` actually responsible.
+        Clauses, learned clauses and saved phases persist across calls,
+        and so does the trail of a SAT result (see :meth:`add_clause`).
         """
         self.stats["solve_calls"] += 1
         self._last_model = None
-        self._conflict_core = None
-        assumptions = list(assumptions)
-        result = None if self._unsat else self._solve_under(assumptions)
-        if result is None:
-            if self._conflict_core is None:
-                self._conflict_core = ()
-            if assumptions:
-                self.stats["assumption_cores"] += 1
-                self.stats["core_literals"] += len(self._conflict_core)
-        return result
-
-    def unsat_core(self):
-        """The failed-assumption core of the most recent UNSAT solve.
-
-        Returns a tuple: a subset of the last ``solve`` call's assumptions
-        such that the clause database conjoined with just those literals
-        is already unsatisfiable (empty when the database alone is UNSAT).
-        Returns None when the most recent solve was satisfiable.  The core
-        is *a* small explanation, not guaranteed minimal -- it is read off
-        the final implication graph (MiniSat's ``analyzeFinal``), so it
-        costs no extra solving.
-        """
-        if self._conflict_core is None:
+        if self._unsat:
             return None
-        return tuple(self._conflict_core)
-
-    def _solve_under(self, assumptions):
-        for lit in assumptions:
-            self.ensure_vars(lit if lit > 0 else -lit)
         if self._pending:
             self._backtrack(0)
-            self._assumed = []
             while self._pending:
                 if not self._enqueue(self._pending.pop()):
                     self._unsat = True
@@ -258,21 +217,9 @@ class SatSolver:
             if self._propagate():
                 self._unsat = True
                 return None
-        if assumptions or self._assumed:
-            # Keep the trail prefix whose pseudo-decision levels assert the
-            # same assumptions as this call; everything above must go.
-            shared = 0
-            old = self._assumed
-            limit = min(len(assumptions), len(old), len(self._trail_lim))
-            while shared < limit and assumptions[shared] == old[shared]:
-                shared += 1
-            self._backtrack(shared)
-        self._assumed = []
-        self._assumptions = assumptions
         return self._search()
 
     def _search(self):
-        assumptions = self._assumptions
         assign = self._assign
         phase = self._phase
         heap = self._heap
@@ -292,27 +239,11 @@ class SatSolver:
                 self._backtrack(backjump)
                 self._learn(learned)
                 continue
-            depth = len(trail_lim)
-            if depth < len(assumptions):
-                lit = assumptions[depth]
-                value = assign[lit]
-                if value is False:
-                    # Falsified by the earlier assumptions and the DB.
-                    self._conflict_core = self._analyze_final(lit)
-                    self._backtrack(0)
-                    return None
-                # One level per assumption, even an already-true one, keeps
-                # level k <-> assumption k aligned for trail reuse.
-                trail_lim.append(len(trail))
-                if value is None:
-                    self._enqueue(lit)
-                continue
             num = self._num_vars
             if len(trail) == num:
                 # Every variable is assigned, so the trail is the model.  It
                 # is kept for the next call; phases are saved as it pops.
                 self._last_model = dict(zip(range(1, num + 1), assign[1:num + 1]))
-                self._assumed = assumptions
                 return dict(self._last_model)
             var = heappop(heap)[1]
             while assign[var] is not None:
@@ -493,43 +424,6 @@ class SatSolver:
             self._enqueue(learned[0])
         else:
             self._enqueue(learned[0], self._attach(learned))
-
-    def _analyze_final(self, lit):
-        """Assumptions responsible for the assumption ``lit`` being false.
-
-        Walks the implication graph backward from ``-lit`` (which is on
-        the trail): every reached pseudo-decision is an assumption of the
-        current solve and joins the core; propagated literals expand into
-        their antecedents.  Level-0 facts never contribute.  Must run
-        before the failing trail is backtracked away.
-        """
-        arena = self._arena
-        levels = self._levels
-        reasons = self._reasons
-        var = lit if lit > 0 else -lit
-        core = {lit}
-        if levels[var] == 0 or not self._trail_lim:
-            # ``-lit`` is a permanent consequence of the database: the
-            # assumption conflicts with the DB all by itself.
-            return (lit,)
-        seen = {var}
-        start = self._trail_lim[0]
-        for trail_lit in reversed(self._trail[start:]):
-            trail_var = trail_lit if trail_lit > 0 else -trail_lit
-            if trail_var not in seen:
-                continue
-            reason = reasons[trail_var]
-            if not reason:
-                core.add(trail_lit)  # a pseudo-decision == an assumption
-                continue
-            for k in range(reason + 1, reason + arena[reason - 1]):
-                # slot 0 is the propagated literal itself
-                q = arena[k]
-                q_var = q if q > 0 else -q
-                if levels[q_var] > 0:
-                    seen.add(q_var)
-        # Preserve the caller's assumption order (lit is among them).
-        return tuple(a for a in self._assumptions if a in core)
 
     def _bump(self, var):
         activity = self._activity

@@ -53,10 +53,6 @@ _SAT_COUNTERS = (
     ("learned_clauses", "learned_clauses"),
     ("propagations", "propagations"),
     ("conflicts", "conflicts"),
-    # Failed-assumption cores (feasibility sessions): the pair gives the
-    # count and total size, hence the mean core size.
-    ("unsat_cores", "assumption_cores"),
-    ("unsat_core_literals", "core_literals"),
 )
 
 
@@ -120,8 +116,6 @@ class Solver:
             "learned_clauses": 0,
             "propagations": 0,
             "conflicts": 0,
-            "unsat_cores": 0,
-            "unsat_core_literals": 0,
             "core_pruned_subtrees": 0,
         }
 
@@ -305,14 +299,13 @@ class Solver:
         sat.ensure_vars(builder.num_vars)
         return sat, atom_vars
 
-    def _dpllt(self, sat, atom_vars, assumptions=()):
-        """The lazy DPLL(T) loop behind every primitive and session.
+    def _dpllt(self, sat, atom_vars):
+        """The lazy DPLL(T) loop behind every primitive.
 
         Yields the literal tuple of each theory-consistent propositional
-        model of ``sat`` under ``assumptions``, atoms in ascending SAT
-        variable order (``_shrink_core`` sorts stably, so this order
-        decides the cores, the blocking clauses and the witnesses).  A
-        theory conflict is blocked in place, so the one persistent SAT
+        model of ``sat``, atoms in ascending SAT variable order
+        (``_shrink_core`` sorts stably, so this order decides the cores,
+        the blocking clauses and the witnesses).  A theory conflict is blocked in place, so the one persistent SAT
         core keeps its watch lists, learned clauses and saved phases
         across rounds.  Returns once ``sat`` is UNSAT; raises
         :class:`SolverLimitError` after ``max_conflicts`` rounds.  The
@@ -324,7 +317,7 @@ class Solver:
         try:
             for _ in range(self.max_conflicts):
                 self._checkpoint()
-                model = sat.solve(assumptions)
+                model = sat.solve()
                 if model is None:
                     return
                 literals = tuple((atom, model[var]) for atom, var in ordered)
@@ -385,8 +378,8 @@ class Solver:
         inconsistent superset is still a sound blocking clause.
 
         Shrunk cores are memoized per literal set (``_core_cache``), so a
-        conflict re-hit by a later DPLL(T) loop or feasibility session
-        pays no theory calls the second time.
+        conflict re-hit by a later DPLL(T) loop pays no theory calls the
+        second time.
         """
         core = list(literals)
         if len(core) > 24:  # too costly to shrink; block the full assignment
@@ -412,18 +405,6 @@ class Solver:
             self._core_cache.clear()  # bound long-lived service growth
         self._core_cache[key] = tuple(core)
         return core
-
-    def feasibility_session(self, atoms, context=()):
-        """An incremental feasibility oracle over a fixed atom universe.
-
-        Returns a :class:`FeasibilitySession` that answers "is this
-        polarity assignment of a prefix of ``atoms`` consistent with
-        ``context``?" through *one* persistent SAT core solved under
-        assumptions.  Consecutive queries that share a prefix (the shape
-        of MinFix's truth-table DFS) reuse the kept trail, and every
-        theory lemma learned for one prefix prunes all later ones.
-        """
-        return FeasibilitySession(self, atoms, context)
 
     def _abstract(self, formula, atom_vars, builder):
         """Build a Tseitin skeleton, abstracting atoms to variables.
@@ -463,86 +444,6 @@ class Solver:
                 return children[0]
             return ("and" if is_and else "or", children)
         raise TypeError(f"not a formula: {formula!r}")
-
-
-class FeasibilitySession:
-    """Incremental DPLL(T) feasibility of literal prefixes (see
-    :meth:`Solver.feasibility_session`).
-
-    The context skeleton is Tseitin-encoded once into a single persistent
-    :class:`SatSolver`; each query solves it under assumptions fixing the
-    polarities of the prefix atoms.  Theory conflicts are minimized
-    through the owning :class:`Solver` (sharing its literal/core caches)
-    and streamed back as clauses, so they persist for -- and prune --
-    every later query of the DFS.
-    """
-
-    def __init__(self, solver, atoms, context):
-        self._solver = solver
-        self._sat = SatSolver()
-        builder = CnfBuilder(sink=self._sat.add_clause)
-        atom_vars = {}
-        skeleton = solver._abstract(conj(*context), atom_vars, builder)
-        self._context_false = skeleton is False
-        if not isinstance(skeleton, bool):
-            assert_skeleton(skeleton, builder)
-        # One propositional literal (or constant) per mapping atom; atoms
-        # shared with the context reuse its variables.
-        self._atom_lits = []
-        for atom in atoms:
-            lit = solver._abstract(atom, atom_vars, builder)
-            if isinstance(lit, bool):
-                self._atom_lits.append(lit)
-            else:
-                self._atom_lits.append(lit[1])  # ("lit", +/-var)
-        self._sat.ensure_vars(builder.num_vars)
-        self._atom_vars = atom_vars
-        #: After a False ``feasible_prefix`` answer: a tuple of
-        #: ``(atom_index, wanted_bit)`` pairs such that fixing just those
-        #: polarities is already infeasible (empty tuple when the context
-        #: alone is), or None when no core is available.  Callers use it
-        #: to skip whole DFS subtrees a core already refutes.
-        self.last_core = None
-
-    def feasible_prefix(self, assignment, length):
-        """Is ``atoms[i] == bit i of assignment`` (i < length) consistent?"""
-        if not TRACER.enabled:  # keep the production path span-free
-            return self._feasible_prefix_impl(assignment, length)
-        with TRACER.span("solver.feasible_prefix") as span:
-            feasible = self._feasible_prefix_impl(assignment, length)
-            span.set(length=length, feasible=feasible)
-            return feasible
-
-    def _feasible_prefix_impl(self, assignment, length):
-        if self._context_false:
-            self.last_core = ()
-            return False
-        assumptions = []
-        lit_index = {}
-        for i in range(length):
-            lit = self._atom_lits[i]
-            want = bool(assignment & (1 << i))
-            if isinstance(lit, bool):
-                if lit != want:
-                    # The atom is a constant of the other sign: that one
-                    # bit is the whole explanation.
-                    self.last_core = ((i, want),)
-                    return False
-                continue
-            sat_lit = lit if want else -lit
-            assumptions.append(sat_lit)
-            lit_index.setdefault(sat_lit, (i, want))
-        self._solver.stats["sat_calls"] += 1
-        for _ in self._solver._dpllt(self._sat, self._atom_vars, assumptions):
-            return True
-        # Read the failed-assumption core off the final implication graph
-        # and map it back to atom indices: every assumption came from the
-        # prefix, so the lookup is total.
-        core = self._sat.unsat_core()
-        self.last_core = (
-            tuple(lit_index[a] for a in core) if core is not None else None
-        )
-        return False
 
 
 _DEFAULT_SOLVER = Solver()

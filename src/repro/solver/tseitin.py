@@ -44,8 +44,9 @@ class CnfBuilder:
 def encode(skeleton, builder):
     """Encode ``skeleton`` and return a literal equivalent to it.
 
-    Uses full (bidirectional) Tseitin encoding so that the same CNF can be
-    reused under differing assumption polarities.
+    Uses full (bidirectional) Tseitin encoding: a ``not`` node returns the
+    negated child literal, which is sound only when every junction variable
+    is equivalent to its children, not merely implied by them.
     """
     kind = skeleton[0]
     if kind == "lit":

@@ -1,23 +1,167 @@
-"""Tests for CreateBounds (Algorithm 2) and MinFix (Algorithms 5/6)."""
+"""Tests for CreateBounds (Algorithm 2), MinFix (Algorithms 5/6) and
+MinFixMult's feasibility map (Algorithm 8)."""
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.boolmin import DONT_CARE
 from repro.core.bounds import bounds_admit, create_bounds
+from repro.core.derive_opt import (
+    _atoms_outside,
+    _merge_sibling_sites,
+    _site_feasibility,
+)
 from repro.core.minfix import build_truth_table, map_atom_preds, min_fix, min_fix_pos
+from repro.errors import RepairError
 from repro.logic.formulas import (
+    And,
+    BoolConst,
     Comparison,
     FALSE,
     Not,
+    Or,
     TRUE,
     conj,
     disj,
     neg,
 )
-from repro.logic.terms import add, const, intvar
+from repro.logic.paths import all_paths, paths_disjoint, replace_at
+from repro.logic.terms import AggCall, add, const, intvar, strvar
+from repro.solver import Solver
 
 A, B, C, D, E, F = (intvar(x) for x in "ABCDEF")
+OPS = ["=", "<>", "<", "<=", ">", ">="]
 
 
 def cmp(op, lhs, rhs):
     return Comparison(op, lhs, rhs)
+
+
+def evaluate_row(mapping, formula, row):
+    """Reference for ``AtomMapping.rows``: ``formula``'s value on one row."""
+    if isinstance(formula, BoolConst):
+        return formula.value
+    if isinstance(formula, Comparison):
+        entry = mapping.polarity.get(formula)
+        if entry is None:
+            index, positive = mapping.polarity[formula.negated()]
+            positive = not positive
+        else:
+            index, positive = entry
+        return bool(row >> index & 1) == positive
+    if isinstance(formula, Not):
+        return not evaluate_row(mapping, formula.child, row)
+    values = [evaluate_row(mapping, child, row) for child in formula.operands]
+    return all(values) if isinstance(formula, And) else any(values)
+
+
+def reference_table(mapping, lower, upper, solver, context):
+    """``BuildTruthTable`` by its per-row definition: row -> output."""
+    outputs = {}
+    for row in range(1 << mapping.num_vars):
+        literals = [
+            atom if row >> i & 1 else neg(atom)
+            for i, atom in enumerate(mapping.atoms)
+        ]
+        if not solver.is_satisfiable(conj(*literals), context):
+            outputs[row] = DONT_CARE
+            continue
+        low = evaluate_row(mapping, lower, row)
+        high = evaluate_row(mapping, upper, row)
+        outputs[row] = int(low) if low == high else DONT_CARE
+    return outputs
+
+
+def _eval_with_sites(node, path, sites, mapping, a_assign, s_assign):
+    """Reference for MinFixMult: the predicate with sites as variables."""
+    for index, site in enumerate(sites):
+        if path in site.paths and not site.is_group:
+            return bool(s_assign & (1 << index))
+    if isinstance(node, BoolConst):
+        return node.value
+    if isinstance(node, Comparison):
+        return evaluate_row(mapping, node, a_assign)
+    if isinstance(node, Not):
+        return not _eval_with_sites(
+            node.child, path + (0,), sites, mapping, a_assign, s_assign
+        )
+    values = []
+    group_done = set()
+    for i, child in enumerate(node.children()):
+        child_path = path + (i,)
+        member_of = None
+        for index, site in enumerate(sites):
+            if site.is_group and child_path in site.paths:
+                member_of = index
+                break
+        if member_of is not None:
+            if member_of not in group_done:
+                group_done.add(member_of)
+                values.append(bool(s_assign & (1 << member_of)))
+            continue
+        values.append(
+            _eval_with_sites(child, child_path, sites, mapping, a_assign, s_assign)
+        )
+    return all(values) if isinstance(node, And) else any(values)
+
+
+NUMERIC = [A, B, C, D, AggCall("COUNT", None)]
+STRINGS = [strvar("S"), strvar("T")]
+
+
+def atoms_over(kinds):
+    """Atoms over 4 int columns, COUNT(*) and 2 string columns.
+
+    ``kind`` 0 compares a term with itself (a tautology or a
+    contradiction), 1 with another term, 2 with a constant.
+    """
+    numeric = st.builds(
+        lambda op, i, j, k, kind: cmp(
+            op, NUMERIC[i], (NUMERIC[i], NUMERIC[j], const(k))[kind]
+        ),
+        st.sampled_from(OPS),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(-1, 3),
+        kinds,
+    )
+    strings = st.builds(
+        lambda op, i, j, k, kind: cmp(
+            op, STRINGS[i], (STRINGS[i], STRINGS[j], const(k))[kind]
+        ),
+        st.sampled_from(["=", "<>"]),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.sampled_from(["a", "b"]),
+        kinds,
+    )
+    return st.one_of(numeric, strings)
+
+
+any_atoms = atoms_over(st.integers(0, 2))
+# Contexts compare with other terms or constants only, so that most of
+# them are satisfiable and leave the atoms apart.
+context_atoms = atoms_over(st.integers(1, 2))
+contexts = st.one_of(
+    st.just(()),
+    st.lists(context_atoms, min_size=1, max_size=2).map(tuple),
+    st.tuples(context_atoms, context_atoms).map(lambda pair: (disj(*pair),)),
+)
+
+
+@st.composite
+def bounds(draw):
+    """``(lower, upper)`` over up to 10 atoms, ``upper`` the looser."""
+    count = draw(st.integers(3, 9))
+    atoms = draw(st.lists(any_atoms, min_size=count, max_size=count))
+    literals = [
+        atom if draw(st.booleans()) else neg(atom) for atom in atoms
+    ]
+    cut = draw(st.integers(1, len(literals)))
+    lower = disj(conj(*literals[:cut]), conj(*literals[cut:])) if (
+        cut < len(literals)
+    ) else conj(*literals)
+    return lower, disj(lower, draw(any_atoms))
 
 
 def example5_predicates():
@@ -115,10 +259,37 @@ class TestMapAtomPreds:
         f = cmp("<", A, B)
         g = cmp(">=", A, B)
         mapping = map_atom_preds([f, g], solver)
-        assert mapping.evaluate(f, 0b1) != mapping.evaluate(g, 0b1)
+        assert mapping.num_vars == 1
+        assert mapping.rows(f) == mapping.full ^ mapping.rows(g)
+        assert mapping.rows(f) >> 1 & 1 != mapping.rows(g) >> 1 & 1
 
 
 class TestBuildTruthTable:
+    @settings(max_examples=60, deadline=None)
+    @given(bounds(), contexts)
+    def test_matches_per_row_definition(self, bound, context):
+        lower, upper = bound
+        solver = Solver()
+        mapping = map_atom_preds([lower, upper], solver, context)
+        table = build_truth_table(mapping, lower, upper, solver, context)
+        expected = reference_table(mapping, lower, upper, Solver(), context)
+        assert {row: table.output(row) for row in expected} == expected
+
+    def test_count_star_links_its_atoms(self):
+        # COUNT(*) contains no Var: only the aggregate links these atoms
+        # into one component.  Apart, the row where both hold looks
+        # feasible and would be a real row valued 1.
+        count = AggCall("COUNT", None)
+        more, fewer = cmp(">", count, const(2)), cmp("<", count, const(1))
+        lower, upper = conj(more, fewer), disj(more, fewer)
+        solver = Solver()
+        mapping = map_atom_preds([lower, upper], solver)
+        table = build_truth_table(mapping, lower, upper, solver)
+        assert mapping.num_vars == 2
+        assert table.output(0b11) == DONT_CARE
+        assert table.output(0b00) == 0
+        assert solver.stats["core_pruned_subtrees"] == 1
+
     def test_infeasible_rows_are_dont_care(self, solver):
         # Atoms A=B and A<B cannot both hold.
         lower = cmp("=", A, B) & cmp("<", A, B)
@@ -185,3 +356,90 @@ class TestMinFix:
         target = cmp("=", A, B) & cmp("<", C, D)
         fix = min_fix_pos(target, target, solver)
         assert solver.is_equiv(fix, target)
+
+
+site_atoms = st.builds(
+    lambda op, i, k: cmp(op, (A, B, C)[i], const(k)),
+    st.sampled_from(OPS),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+
+
+def predicates(depth):
+    if depth == 0:
+        return site_atoms
+    sub = predicates(depth - 1)
+    return st.one_of(
+        sub,
+        st.lists(sub, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
+        sub.map(Not),
+    )
+
+
+@st.composite
+def site_cases(draw):
+    """``(predicate, site paths, lower, upper)`` with 1-3 disjoint sites."""
+    children = tuple(draw(st.lists(predicates(1), min_size=2, max_size=3)))
+    predicate = And(children) if draw(st.booleans()) else Or(children)
+    nodes = all_paths(predicate)[1:]  # every subtree but the root
+    wanted = draw(st.integers(1, 3))
+    chosen = []
+    junctions = [path for path, node in nodes if isinstance(node, (And, Or))]
+    if junctions and draw(st.booleans()):
+        parent = draw(st.sampled_from(junctions))
+        chosen = [parent + (0,), parent + (1,)]  # a merged sibling group
+    for path in draw(st.permutations([path for path, _ in nodes])):
+        if len(chosen) >= wanted:
+            break
+        if paths_disjoint(chosen + [path]):
+            chosen.append(path)
+    if draw(st.booleans()):
+        # Viable by construction: some fix of the sites yields the target.
+        target = replace_at(predicate, {
+            path: draw(predicates(1)) for path in chosen
+        })
+    else:
+        target = draw(predicates(1))
+    upper = disj(target, draw(site_atoms)) if draw(st.booleans()) else target
+    return predicate, chosen, target, upper
+
+
+_a1, _a2, _a3, _a4 = (cmp("=", A, const(1)), cmp(">", B, const(2)),
+                      cmp("<", C, const(3)), cmp("<>", A, const(2)))
+
+
+class TestSiteFeasibility:
+    @settings(max_examples=60, deadline=None)
+    @given(site_cases())
+    @example((Or((And((_a1, _a2, _a3)), _a4)), [(0, 0), (0, 1)],
+              disj(_a1, _a4), disj(_a1, _a4)))
+    def test_matches_per_row_reference(self, case):
+        predicate, paths, lower, upper = case
+        solver = Solver()
+        sites = _merge_sibling_sites(predicate, paths)
+        outside = _atoms_outside(predicate, [p for s in sites for p in s.paths])
+        mapping = map_atom_preds([*outside, lower, upper], solver)
+        target = build_truth_table(mapping, lower, upper, solver)
+        rows = range(1 << mapping.num_vars)
+        expected = [
+            [
+                target.output(a) != DONT_CARE
+                and int(_eval_with_sites(predicate, (), sites, mapping, a, s))
+                == target.output(a)
+                for a in rows
+            ]
+            for s in range(1 << len(sites))
+        ]
+        if not all(
+            any(verdicts[a] for verdicts in expected)
+            for a in rows if target.output(a) != DONT_CARE
+        ):
+            with pytest.raises(RepairError, match="not viable"):
+                _site_feasibility(predicate, sites, mapping, target)
+            return
+        _, ok = _site_feasibility(predicate, sites, mapping, target)
+        assert [[bool(options >> a & 1) for a in rows] for options in ok] == (
+            expected
+        )

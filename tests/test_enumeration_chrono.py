@@ -6,22 +6,16 @@ Three regression areas:
   must produce exactly the brute-force model set and never repeat a
   model;
 * **add/solve interleavings** -- clauses added against a kept trail,
-  interleaved with solves under assumptions, never leak a model that
-  violates an added clause;
-* **MinFix core-guided pruning** -- the pruned truth-table DFS yields
-  tables and fixes identical to an unpruned run, and the
-  ``core_pruned_subtrees`` counter fires on infeasible atom combinations.
+  interleaved with solves, never leak a model that violates an added
+  clause;
+* **MinFix infeasible assignments** -- the ``core_pruned_subtrees``
+  counter fires on infeasible atom combinations.
 """
 
 import itertools
 import random
 
-from repro.core.minfix import (
-    _FeasibilityChecker,
-    build_truth_table,
-    map_atom_preds,
-    min_fix,
-)
+from repro.core.minfix import build_truth_table, map_atom_preds
 from repro.logic.formulas import Comparison, conj, disj
 from repro.logic.terms import const, intvar
 from repro.solver import Solver
@@ -113,18 +107,12 @@ class TestTrailSavingInvariants:
                 for clause in _random_cnf(rng, n, rng.randint(1, 2)):
                     accumulated.append(clause)
                     solver.add_clause(clause)
-                picked = rng.sample(range(1, n + 1), rng.randint(0, 3))
-                assumptions = [rng.choice([1, -1]) * v for v in picked]
-                model = solver.solve(assumptions)
-                reference = _brute_models(
-                    accumulated + [[a] for a in assumptions], n
-                )
+                model = solver.solve()
+                reference = _brute_models(accumulated, n)
                 assert (model is None) == (not reference)
                 if model is not None:
                     for clause in accumulated:
                         assert any(model[abs(l)] == (l > 0) for l in clause)
-                    for lit in assumptions:
-                        assert model[abs(lit)] == (lit > 0)
                 for key, value in solver.stats.items():
                     assert value >= counters[key], f"{key} went backwards"
                 counters = dict(solver.stats)
@@ -132,8 +120,8 @@ class TestTrailSavingInvariants:
 
 class TestMinFixCorePruning:
     def _contradictory_bounds(self):
-        # a1 = A<5 and a2 = A>10 can never hold together: every DFS
-        # subtree assigning both true is prunable from one unsat core.
+        # a1 = A<5 and a2 = A>10 can never hold together: the component
+        # assignment making both true is infeasible.
         a1 = cmp("<", A, const(5))
         a2 = cmp(">", A, const(10))
         a3 = cmp("=", B, const(1))
@@ -148,36 +136,3 @@ class TestMinFixCorePruning:
         mapping = map_atom_preds([lower, upper], solver)
         build_truth_table(mapping, lower, upper, solver)
         assert solver.stats["core_pruned_subtrees"] > 0
-
-    def test_pruned_table_identical_to_unpruned(self, monkeypatch):
-        lower, upper = self._contradictory_bounds()
-
-        pruned_solver = Solver()
-        mapping = map_atom_preds([lower, upper], pruned_solver)
-        pruned = build_truth_table(mapping, lower, upper, pruned_solver)
-        assert pruned_solver.stats["core_pruned_subtrees"] > 0
-
-        # Disable core recording: the checker then answers every prefix
-        # with a real feasibility call, as before the optimisation.
-        monkeypatch.setattr(
-            _FeasibilityChecker, "_add_core", lambda self, mask, bits: None
-        )
-        plain_solver = Solver()
-        mapping2 = map_atom_preds([lower, upper], plain_solver)
-        plain = build_truth_table(mapping2, lower, upper, plain_solver)
-        assert plain_solver.stats["core_pruned_subtrees"] == 0
-
-        assert mapping.num_vars == mapping2.num_vars
-        for row in range(1 << mapping.num_vars):
-            assert pruned.output(row) == plain.output(row), row
-
-    def test_min_fix_unchanged_by_pruning(self, monkeypatch):
-        lower, upper = self._contradictory_bounds()
-        with_cores = min_fix(lower, upper, Solver())
-        monkeypatch.setattr(
-            _FeasibilityChecker, "_add_core", lambda self, mask, bits: None
-        )
-        without_cores = min_fix(lower, upper, Solver())
-        assert with_cores == without_cores
-        checker = Solver()
-        assert checker.in_bound(lower, with_cores, upper)

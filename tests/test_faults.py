@@ -339,6 +339,7 @@ class TestAdmissionControl:
             admission=AdmissionController(max_inflight=1, max_queue=0)
         )
         aid = _create_assignment(base)
+        assert server.admission.wait_idle(5.0)
         with ThreadPoolExecutor(max_workers=2) as pool:
             slow = pool.submit(
                 _post, base, "/grade", {"assignment_id": aid, "sql": WRONG}

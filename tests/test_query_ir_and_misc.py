@@ -163,6 +163,7 @@ class TestFailureInjection:
         assert result.found
 
     def test_solver_conflict_budget(self):
+        from repro.core.minfix import build_truth_table, map_atom_preds
         from repro.solver import Solver
 
         tiny = Solver(max_conflicts=1)
@@ -175,13 +176,14 @@ class TestFailureInjection:
         )
         with pytest.raises(SolverLimitError):
             tiny.is_satisfiable(hard)
-        # find_model and feasibility sessions run the same loop, so they
+        # find_model and MinFix's truth tables run the same loop, so they
         # hit the same budget.
         with pytest.raises(SolverLimitError):
             tiny.find_model(hard)
-        session = tiny.feasibility_session([Comparison("=", x, y)], (hard,))
+        atom = Comparison("=", x, y)
+        mapping = map_atom_preds([atom], tiny, (hard,))
         with pytest.raises(SolverLimitError):
-            session.feasible_prefix(0, 0)
+            build_truth_table(mapping, atom, atom, tiny, (hard,))
 
     def test_engine_rejects_bool_for_numeric(self, beers_catalog):
         from repro.engine import Database

@@ -384,7 +384,7 @@ class TestHttpServer:
         client.post("/grade", {"assignment_id": aid, "sql": WRONG})
         _, stats = client.get("/stats")
         solver_stats = stats["assignments"][aid]["solver"]
-        for key in ("conflicts", "propagations", "unsat_cores",
+        for key in ("conflicts", "propagations",
                     "theory_cache_hits", "learned_clauses"):
             assert key in solver_stats, key
 
@@ -698,7 +698,7 @@ class TestCliSubcommands:
         )
         out = capsys.readouterr().out
         assert code == 0
-        for key in ("conflicts", "learned_clauses", "unsat_cores",
+        for key in ("conflicts", "learned_clauses",
                     "theory_cache_hits"):
             assert key in out, key
 

@@ -71,7 +71,7 @@ class TestSatModelSnapshot:
                 ]
                 clauses.append(clause)
                 solver.add_clause(clause)
-            if solver.solve(()) is not None:
+            if solver.solve() is not None:
                 model = solver.model()
                 assert all(_clause_satisfied(c, model) for c in clauses)
 

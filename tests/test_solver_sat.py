@@ -35,17 +35,6 @@ class TestSatSolver:
         solver.add_clause([2])
         assert solver.solve()[2] is True
 
-    def test_assumptions(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve(assumptions=[-1])[2] is True
-        assert solver.solve(assumptions=[-1, -2]) is None
-
-    def test_conflicting_assumptions(self):
-        solver = SatSolver()
-        solver.ensure_vars(1)
-        assert solver.solve(assumptions=[1, -1]) is None
-
     def test_incremental_clause_addition(self):
         solver = SatSolver()
         solver.add_clause([1, 2])
@@ -103,8 +92,9 @@ class TestFuzzAgainstBruteForce:
                     assert any(model[abs(l)] == (l > 0) for l in clause)
 
     def test_incremental_fuzz(self):
-        # Interleave clause addition and assumption solves on one solver;
-        # every answer must match a from-scratch brute force.
+        # Interleave clause addition and solves on one solver, against the
+        # kept trail of the last SAT result; every answer must match a
+        # from-scratch brute force.
         rng = random.Random(0xFEED)
         for _ in range(100):
             n = rng.randint(2, 10)
@@ -115,37 +105,15 @@ class TestFuzzAgainstBruteForce:
                 for clause in _random_cnf(rng, n, rng.randint(1, 3)):
                     accumulated.append(clause)
                     solver.add_clause(clause)
-                picked = rng.sample(range(1, n + 1), rng.randint(0, 2))
-                assumptions = [rng.choice([1, -1]) * v for v in picked]
-                model = solver.solve(assumptions)
-                reference = _brute_force(
-                    accumulated + [[a] for a in assumptions], n
-                )
+                model = solver.solve()
+                reference = _brute_force(accumulated, n)
                 assert (model is None) == (reference is None)
                 if model is not None:
                     for clause in accumulated:
                         assert any(model[abs(l)] == (l > 0) for l in clause)
-                    for lit in assumptions:
-                        assert model[abs(lit)] == (lit > 0)
 
 
 class TestIncrementalAssumptions:
-    def test_assumptions_do_not_stick(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve(assumptions=[-1, -2]) is None
-        # The same instance must stay SAT without the assumptions.
-        model = solver.solve()
-        assert model is not None and (model[1] or model[2])
-
-    def test_unsat_under_each_polarity_but_sat_overall(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        solver.add_clause([-1, 2])
-        assert solver.solve(assumptions=[-2]) is None
-        model = solver.solve(assumptions=[2])
-        assert model is not None and model[2] is True
-
     def test_watches_and_learned_clauses_reused_across_calls(self):
         # Blocking-clause enumeration of all 8 models over 3 free vars: the
         # single solver instance must stay consistent for the whole run.
@@ -189,80 +157,6 @@ class TestIncrementalAssumptions:
         for key in ("solve_calls", "decisions", "propagations",
                     "conflicts", "learned_clauses"):
             assert key in solver.stats
-
-
-class TestUnsatCore:
-    def test_none_before_any_solve_and_after_sat(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        assert solver.unsat_core() is None
-        assert solver.solve(assumptions=[1]) is not None
-        assert solver.unsat_core() is None
-
-    def test_core_excludes_irrelevant_assumptions(self):
-        solver = SatSolver()
-        solver.ensure_vars(6)
-        solver.add_clause([-1, -2, 3])  # x1 & x2 -> x3
-        solver.add_clause([-3, -4])  # x3 -> !x4
-        assert solver.solve(assumptions=[1, 2, 5, 4]) is None
-        core = solver.unsat_core()
-        assert 4 in core
-        assert 5 not in core  # x5 never touches the conflict
-        assert set(core) <= {1, 2, 5, 4}
-
-    def test_core_is_itself_unsat(self):
-        solver = SatSolver()
-        solver.ensure_vars(8)
-        solver.add_clause([-1, 2])
-        solver.add_clause([-2, 3])
-        solver.add_clause([-3, -1])  # x1 is self-defeating
-        assert solver.solve(assumptions=[7, 8, 1]) is None
-        core = solver.unsat_core()
-        assert solver.solve(assumptions=list(core)) is None
-
-    def test_db_level_unsat_has_empty_core(self):
-        solver = SatSolver()
-        solver.add_clause([1])
-        solver.add_clause([-1])
-        assert solver.solve(assumptions=[2]) is None
-        assert solver.unsat_core() == ()
-
-    def test_contradictory_assumption_pair(self):
-        solver = SatSolver()
-        solver.ensure_vars(3)
-        solver.add_clause([1, 2, 3])
-        assert solver.solve(assumptions=[2, -2]) is None
-        assert set(solver.unsat_core()) == {2, -2}
-
-    def test_assumption_conflicting_with_db_alone(self):
-        solver = SatSolver()
-        solver.add_clause([-1])
-        assert solver.solve(assumptions=[1, 2]) is None
-        assert solver.unsat_core() == (1,)
-
-    def test_core_counters(self):
-        solver = SatSolver()
-        solver.add_clause([-1])
-        assert solver.stats["assumption_cores"] == 0
-        assert solver.solve(assumptions=[1]) is None
-        assert solver.stats["assumption_cores"] == 1
-        assert solver.stats["core_literals"] == 1
-
-    def test_core_after_conflict_driven_search(self):
-        # PHP(3,2) plus a free pigeon-selection variable pool: any solve
-        # under assumptions must fail and name a core within them.
-        solver = SatSolver()
-        var = lambda i, j: 2 * (i - 1) + j
-        for i in (1, 2, 3):
-            solver.add_clause([var(i, 1), var(i, 2)])
-        for j in (1, 2):
-            for i in (1, 2, 3):
-                for k in range(i + 1, 4):
-                    solver.add_clause([-var(i, j), -var(k, j)])
-        solver.ensure_vars(10)
-        assert solver.solve(assumptions=[9, 10]) is None
-        # The database alone is UNSAT: no assumption is to blame.
-        assert solver.unsat_core() == ()
 
 
 class TestNonRecursive:
@@ -330,11 +224,16 @@ class TestFirstUipMachinery:
         assert min(len(c) for c in learned) <= 4
 
     def test_model_snapshot_after_sat_following_unsat(self):
+        failing = SatSolver()
+        failing.add_clause([1, 2])
+        failing.add_clause([-1, 2])
+        assert failing.solve() is not None
+        failing.add_clause([-2])
+        assert failing.solve() is None
+        assert failing.model() is None  # UNSAT clears the snapshot
         solver = SatSolver()
         solver.add_clause([1, 2])
         solver.add_clause([-1, 2])
-        assert solver.solve(assumptions=[-2]) is None
-        assert solver.model() is None  # UNSAT clears the snapshot
         model = solver.solve()
         assert model is not None and model[2] is True
         snapshot = solver.model()
@@ -361,43 +260,6 @@ class TestStressedFuzzAgainstBruteForce:
             if model is not None:
                 for clause in clauses:
                     assert any(model[abs(l)] == (l > 0) for l in clause)
-
-    def test_growing_assumption_prefix_fuzz(self):
-        # The trail-reuse fast path: repeated solves under assumption lists
-        # that extend each other, interleaved with clause additions.
-        rng = random.Random(0xBEEF)
-        for _ in range(60):
-            n = rng.randint(3, 10)
-            solver = SatSolver()
-            solver.ensure_vars(n)
-            accumulated = []
-            pool = [rng.choice([1, -1]) * v
-                    for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
-            for clause in _random_cnf(rng, n, rng.randint(2, 3 * n)):
-                accumulated.append(clause)
-                solver.add_clause(clause)
-            previous_sat = True
-            for length in range(len(pool) + 1):
-                assumptions = pool[:length]
-                model = solver.solve(assumptions)
-                reference = _brute_force(
-                    accumulated + [[a] for a in assumptions], n
-                )
-                assert (model is None) == (reference is None), (
-                    accumulated, assumptions
-                )
-                if model is not None:
-                    for clause in accumulated:
-                        assert any(model[abs(l)] == (l > 0) for l in clause)
-                    for lit in assumptions:
-                        assert model[abs(lit)] == (lit > 0)
-                    assert previous_sat, "SAT after UNSAT on a larger prefix"
-                previous_sat = model is not None
-                if rng.random() < 0.3:
-                    extra = _random_cnf(rng, n, 1)[0]
-                    accumulated.append(extra)
-                    solver.add_clause(extra)
-                    previous_sat = True  # the instance changed; reset
 
     def test_model_enumeration_under_reduction_never_repeats(self):
         # Blocking-clause enumeration must never re-admit a blocked model.
@@ -431,9 +293,14 @@ class TestTseitin:
         assert model[1] and model[2]
 
     def test_or_needs_one_child(self):
-        solver = self._solve_skeleton(("or", [("lit", 1), ("lit", 2)]), 2)
-        assert solver.solve(assumptions=[-1])[2] is True
-        assert solver.solve(assumptions=[-1, -2]) is None
+        skeleton = ("or", [("lit", 1), ("lit", 2)])
+        solver = self._solve_skeleton(skeleton, 2)
+        solver.add_clause([-1])
+        assert solver.solve()[2] is True
+        solver = self._solve_skeleton(skeleton, 2)
+        solver.add_clause([-1])
+        solver.add_clause([-2])
+        assert solver.solve() is None
 
     def test_not_inverts(self):
         solver = self._solve_skeleton(("not", ("lit", 1)), 1)
@@ -449,8 +316,13 @@ class TestTseitin:
             ],
         )
         solver = self._solve_skeleton(skeleton, 3)
-        assert solver.solve(assumptions=[1, -2]) is None
-        assert solver.solve(assumptions=[-1, 3]) is not None
+        solver.add_clause([1])
+        solver.add_clause([-2])
+        assert solver.solve() is None
+        solver = self._solve_skeleton(skeleton, 3)
+        solver.add_clause([-1])
+        solver.add_clause([3])
+        assert solver.solve() is not None
 
     def test_single_child_junction_passthrough(self):
         builder = CnfBuilder(num_vars=1)

@@ -1,6 +1,6 @@
 """Tests for the SMT facade (the paper's three Z3 primitives)."""
 
-from repro.logic.formulas import Comparison, FALSE, TRUE, conj, disj, neg
+from repro.logic.formulas import Comparison, FALSE, TRUE, neg
 from repro.logic.terms import add, const, div, intvar, mul, strvar
 from repro.solver import Solver
 
@@ -178,59 +178,7 @@ class TestCaching:
         local.is_satisfiable(cmp("<", A, B))
         snapshot = local.stats_snapshot()
         for key in ("learned_clauses", "conflicts",
-                    "theory_cache_hits", "cache_hit_rate",
-                    "unsat_cores", "unsat_core_literals"):
+                    "theory_cache_hits", "cache_hit_rate"):
             assert key in snapshot
 
-    def test_feasibility_session_counts_unsat_cores(self):
-        local = Solver()
-        atoms = [cmp("<", A, B), cmp("<", B, A), cmp("<", A, C)]
-        session = local.feasibility_session(atoms, ())
-        # Assignment 0b011 asserts A < B and B < A: infeasible; the SAT
-        # core fails under assumptions and records a failed-assumption core.
-        assert not session.feasible_prefix(0b11, 2)
-        assert local.stats["unsat_cores"] >= 1
-        assert local.stats["unsat_core_literals"] >= 1
 
-
-class TestFeasibilitySession:
-    def test_matches_one_shot_primitive(self):
-        local = Solver()
-        atoms = [
-            cmp(">", A, const(3)),
-            cmp("<", A, const(10)),
-            cmp(">=", B, const(2)),
-        ]
-        context = (disj(cmp(">", A, const(5)), cmp("<", B, const(0))),)
-        session = local.feasibility_session(atoms, context)
-        for assignment in range(8):
-            for length in range(4):
-                literals = [
-                    atoms[i] if assignment & (1 << i) else neg(atoms[i])
-                    for i in range(length)
-                ]
-                expected = local.is_satisfiable(conj(*literals), context)
-                assert session.feasible_prefix(assignment, length) == expected
-
-    def test_unsatisfiable_context_is_always_infeasible(self):
-        local = Solver()
-        atoms = [cmp(">", A, const(0))]
-        context = (cmp("<", A, B) & cmp("<", B, A),)
-        session = local.feasibility_session(atoms, context)
-        assert not session.feasible_prefix(0, 0)
-        assert not session.feasible_prefix(1, 1)
-
-    def test_lemmas_accumulate_across_queries(self):
-        local = Solver()
-        atoms = [cmp("<", A, B), cmp("<", B, C), cmp("<", C, A)]
-        session = local.feasibility_session(atoms, ())
-        # All three cycle literals together are theory-infeasible ...
-        assert not session.feasible_prefix(0b111, 3)
-        # ... and the lemma persists in the same session's SAT core: the
-        # repeated query is refuted by propagation, with no theory round.
-        theory_before = (local.stats["theory_calls"],
-                         local.stats["theory_cache_hits"])
-        assert not session.feasible_prefix(0b111, 3)
-        assert (local.stats["theory_calls"],
-                local.stats["theory_cache_hits"]) == theory_before
-        assert session.feasible_prefix(0b011, 2)

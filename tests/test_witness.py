@@ -455,14 +455,52 @@ class TestHttpHardening:
 
 
 class TestUserstudyWitnessPinned:
-    """Userstudy Q2/Q4 grades with witnesses, pinned byte for byte.
+    """Userstudy Q1-Q4 grades with witnesses, pinned byte for byte.
 
     Their witnesses come from ``Solver.find_model``, so the rendered
     text depends on the SAT search order (decision order, default
-    phase, watch placement); this keeps any change to it visible.
+    phase, watch placement) and on what the solver's theory caches hold
+    when the witness is built; this keeps any change to it visible.
     """
 
     EXPECTED = {
+        "Q1": (
+            '[WHERE]\n'
+            '  - In WHERE, there is a problem with `(a.year + 20) > d.year`. Think through some concrete examples and see how you may fix it.\n'
+            '    fix: (a.year + 20) > d.year  ->  (b.year = d.year AND a.year = c.year AND (a.year + 20) >= b.year)\n'
+            '\n'
+            'Query after applying all repairs:\n'
+            '  SELECT e.author FROM conference_paper a, authorship e, conference_paper b, authorship f, journal_paper c, authorship g, journal_paper d, authorship h WHERE (a.pubkey = e.pubkey AND b.pubkey = g.pubkey AND c.pubkey = f.pubkey AND e.author = h.author AND d.pubkey = h.pubkey AND e.author = g.author AND f.author = h.author AND (b.year = d.year AND a.year = c.year AND (a.year + 20) >= b.year)) GROUP BY e.author\n'
+            '\n'
+            'Counterexample instance (3 row(s); divergence first visible in WHERE):\n'
+            '  authorship(pubkey, author)\n'
+            '    (Amy, Amy)\n'
+            '  conference_paper(pubkey, title, conference_name, year, area)\n'
+            '    (Amy, Amy, Bob, 20, Bob)\n'
+            '  journal_paper(pubkey, title, journal_name, year)\n'
+            '    (Amy, Amy, Bob, 22)\n'
+            '  your query returns:      (Amy)\n'
+            '  reference query returns: (no rows)'
+        ),
+        "Q3": (
+            '[WHERE]\n'
+            '  - In WHERE, there is a problem with `conference_paper.pubkey = authorship.pubkey`. Think through some concrete examples and see how you may fix it.\n'
+            "    fix: conference_paper.pubkey = authorship.pubkey  ->  (b.author = authorship.author AND conference_paper.year = a.year AND a.area <> conference_paper.area AND a.area <> 'UNKNOWN' AND conference_paper.area <> 'UNKNOWN' AND conference_paper.pubkey = b.pubkey AND a.pubkey = authorship.pubkey)\n"
+            '  - In WHERE, there is a problem with `a.pubkey = b.pubkey`. Think through some concrete examples and see how you may fix it.\n'
+            '    fix: a.pubkey = b.pubkey  ->  (conference_paper.pubkey = b.pubkey AND a.pubkey = authorship.pubkey)\n'
+            '\n'
+            'Query after applying all repairs:\n'
+            "  SELECT b.author FROM conference_paper, authorship b, conference_paper a, authorship WHERE (((b.author = authorship.author AND conference_paper.year = a.year AND a.area <> conference_paper.area AND a.area <> 'UNKNOWN' AND conference_paper.area <> 'UNKNOWN' AND conference_paper.pubkey = b.pubkey AND a.pubkey = authorship.pubkey) AND a.year < 2015) OR (a.year > 2015 AND b.author = authorship.author AND (conference_paper.pubkey = b.pubkey AND a.pubkey = authorship.pubkey) AND conference_paper.year = a.year AND a.area <> conference_paper.area AND a.area <> 'UNKNOWN' AND conference_paper.area <> 'UNKNOWN')) GROUP BY b.author\n"
+            '\n'
+            'Counterexample instance (3 row(s); divergence first visible in WHERE):\n'
+            '  authorship(pubkey, author)\n'
+            '    (Amy, Amy)\n'
+            '  conference_paper(pubkey, title, conference_name, year, area)\n'
+            '    (Bob, Amy, Bob, 2014, Bob)\n'
+            '    (Amy, UNKNOWN, UNKNOWN, 2016, Amy)\n'
+            '  your query returns:      (Amy)\n'
+            '  reference query returns: (no rows)'
+        ),
         "Q2": (
             '[GROUP BY]\n'
             '  - In GROUP BY, `authorship.author` is incorrect -- it splits rows that should stay in the same group.\n'
