@@ -34,7 +34,11 @@ from repro.obs import TRACER
 from repro.service.faults import FAULTS
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.sat import SatSolver
-from repro.solver.theory import check_literals, find_model as theory_find_model
+from repro.solver.theory import (
+    check_literals,
+    find_model as theory_find_model,
+    independent_parts,
+)
 from repro.solver.tseitin import CnfBuilder, assert_skeleton
 
 SAT = "sat"
@@ -355,17 +359,31 @@ class Solver:
             return False
 
     def _theory_ok(self, literals):
-        key = frozenset(literals)
-        cached = self._theory_cache.get(key, _MISS)
-        if cached is not _MISS:
-            self.stats["theory_cache_hits"] += 1
-            return cached
-        self.stats["theory_calls"] += 1
-        result = check_literals(literals)
-        if len(self._theory_cache) >= _THEORY_CACHE_LIMIT:
-            self._theory_cache.clear()  # bound long-lived service growth
-        self._theory_cache[key] = result
-        return result
+        """Theory consistency of a literal conjunction, decided per part.
+
+        The literals split into parts that share no unknown
+        (:func:`~repro.solver.theory.independent_parts`); the conjunction
+        is consistent iff every part is.  Each part's verdict is memoized
+        in ``_theory_cache``, so a part shared by many literal sets -- the
+        context's, or a truth-table component's -- is decided once per
+        solver.  ``theory_calls`` counts part decisions and
+        ``theory_cache_hits`` parts served from the cache.
+        """
+        cache, stats = self._theory_cache, self.stats
+        for part in independent_parts(literals):
+            key = frozenset(part)
+            verdict = cache.get(key, _MISS)
+            if verdict is _MISS:
+                stats["theory_calls"] += 1
+                verdict = check_literals(part)
+                if len(cache) >= _THEORY_CACHE_LIMIT:
+                    cache.clear()  # bound long-lived service growth
+                cache[key] = verdict
+            else:
+                stats["theory_cache_hits"] += 1
+            if not verdict:
+                return False
+        return True
 
     def _shrink_core(self, literals, max_stall=8):
         """Deletion-based minimization of an inconsistent literal set.

@@ -28,6 +28,7 @@ from repro.logic.formulas import (
 from repro.logic.paths import all_paths, paths_disjoint, replace_at
 from repro.logic.terms import AggCall, add, const, intvar, strvar
 from repro.solver import Solver
+from repro.solver.atoms import CanonicalLiteral, canonicalize
 
 A, B, C, D, E, F = (intvar(x) for x in "ABCDEF")
 OPS = ["=", "<>", "<", "<=", ">", ">="]
@@ -70,6 +71,47 @@ def reference_table(mapping, lower, upper, solver, context):
         high = evaluate_row(mapping, upper, row)
         outputs[row] = int(low) if low == high else DONT_CARE
     return outputs
+
+
+def _pairwise_map_atom_preds(formulas, solver, context=()):
+    """Reference: ``MapAtomPreds`` by the plain pairwise scan.
+
+    After the canonical-form prefilter, every atom is checked against
+    every representative in turn, two ``is_equiv`` calls each, whatever
+    base terms the two share.  Returns ``(atoms, polarity)``.
+    """
+    atoms, polarity, canon_index = [], {}, {}
+    for formula in formulas:
+        for atom in formula.atoms():
+            if atom in polarity:
+                continue
+            literal = canonicalize(atom)
+            if not isinstance(literal, CanonicalLiteral):
+                literal = None
+            mapped = None
+            if literal is not None:
+                hit = canon_index.get(literal.atom)
+                if hit is not None:
+                    mapped = (hit[0], literal.positive == hit[1])
+            if mapped is None:
+                for i, representative in enumerate(atoms):
+                    if solver.is_equiv(atom, representative, context):
+                        mapped = (i, True)
+                        break
+                    if solver.is_equiv(atom, neg(representative), context):
+                        mapped = (i, False)
+                        break
+            if mapped is None:
+                atoms.append(atom)
+                mapped = (len(atoms) - 1, True)
+            if literal is not None:
+                index, positive = mapped
+                canon_index.setdefault(
+                    literal.atom,
+                    (index, literal.positive if positive else not literal.positive),
+                )
+            polarity[atom] = mapped
+    return atoms, polarity
 
 
 def _eval_with_sites(node, path, sites, mapping, a_assign, s_assign):
@@ -146,6 +188,11 @@ contexts = st.one_of(
     st.just(()),
     st.lists(context_atoms, min_size=1, max_size=2).map(tuple),
     st.tuples(context_atoms, context_atoms).map(lambda pair: (disj(*pair),)),
+)
+# Contexts that may also compare a term with itself, so that some are
+# unsatisfiable or make atoms constant.
+wide_contexts = st.one_of(
+    contexts, st.lists(any_atoms, min_size=1, max_size=3).map(tuple)
 )
 
 
@@ -262,6 +309,33 @@ class TestMapAtomPreds:
         assert mapping.num_vars == 1
         assert mapping.rows(f) == mapping.full ^ mapping.rows(g)
         assert mapping.rows(f) >> 1 & 1 != mapping.rows(g) >> 1 & 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds(), st.lists(any_atoms, max_size=4), wide_contexts)
+    def test_matches_pairwise_scan(self, bound, extra, context):
+        formulas = [*extra, *bound]
+        mapping = map_atom_preds(formulas, Solver(), context)
+        expected = _pairwise_map_atom_preds(formulas, Solver(), context)
+        assert (mapping.atoms, mapping.polarity) == expected
+
+    @pytest.mark.parametrize("context, first, second, expected", [
+        # Both atoms hold everywhere the context does, with no column in
+        # common.
+        ((cmp(">", A, const(5)), cmp("<", B, const(0))),
+         cmp(">", A, const(3)), cmp("<", B, const(1)), (0, True)),
+        # One holds everywhere and the other nowhere.
+        ((cmp(">", A, const(5)), cmp("<", B, const(0))),
+         cmp(">", A, const(3)), cmp(">", B, const(1)), (0, False)),
+        # Under an unsatisfiable context every atom is equivalent.
+        ((cmp(">", A, const(5)), cmp("<", A, const(0))),
+         cmp(">", B, const(3)), cmp("=", strvar("S"), const("x")), (0, True)),
+    ])
+    def test_atoms_across_components(self, context, first, second, expected):
+        mapping = map_atom_preds([conj(first, second)], Solver(), context)
+        assert mapping.polarity == {first: (0, True), second: expected}
+        assert _pairwise_map_atom_preds(
+            [conj(first, second)], Solver(), context
+        ) == (mapping.atoms, mapping.polarity)
 
 
 class TestBuildTruthTable:

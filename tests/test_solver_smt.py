@@ -1,11 +1,16 @@
 """Tests for the SMT facade (the paper's three Z3 primitives)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.logic.formulas import Comparison, FALSE, TRUE, neg
-from repro.logic.terms import add, const, div, intvar, mul, strvar
+from repro.logic.terms import AggCall, add, const, div, intvar, mul, strvar
 from repro.solver import Solver
+from repro.solver.atoms import CanonicalLiteral, canonicalize
+from repro.solver.theory import check_literals, independent_parts
 
 A, B, C = intvar("A"), intvar("B"), intvar("C")
 S, T = strvar("S"), strvar("T")
+OPS = ["=", "<>", "<", "<=", ">", ">="]
 
 
 def cmp(op, lhs, rhs):
@@ -182,3 +187,87 @@ class TestCaching:
             assert key in snapshot
 
 
+# Literal sets for the per-part theory cache: INT columns and COUNT(*)
+# under scaled and summed sides (integer tightening then sees fractional
+# coefficients), strings that share constants, and an opaque product.
+NUMERIC = [A, B, C, AggCall("COUNT", None)]
+STRINGS = [S, T, strvar("U")]
+numeric_sides = st.one_of(
+    st.sampled_from(NUMERIC),
+    st.builds(mul, st.integers(2, 3).map(const), st.sampled_from(NUMERIC)),
+    st.builds(div, st.sampled_from(NUMERIC), st.integers(2, 3).map(const)),
+    st.builds(add, st.sampled_from(NUMERIC), st.sampled_from(NUMERIC)),
+)
+string_sides = st.sampled_from(STRINGS)
+comparisons = st.one_of(
+    st.builds(
+        cmp, st.sampled_from(OPS), numeric_sides,
+        st.one_of(numeric_sides, st.integers(-2, 3).map(const)),
+    ),
+    st.builds(
+        cmp, st.sampled_from(["=", "<>"]), string_sides,
+        st.one_of(string_sides, st.sampled_from(["a", "b"]).map(const)),
+    ),
+    st.builds(
+        cmp, st.sampled_from(["LIKE", "NOT LIKE"]), string_sides,
+        st.sampled_from(["a", "a%", "%"]).map(const),
+    ),
+    st.just(cmp(">", mul(A, B), const(1))),
+)
+
+
+def _literals(drawn):
+    literals = []
+    for comparison, flip in drawn:
+        literal = canonicalize(comparison)
+        if isinstance(literal, CanonicalLiteral):
+            literals.append((literal.atom, literal.positive != flip))
+    return tuple(literals)
+
+
+literal_sets = st.lists(
+    st.tuples(comparisons, st.booleans()), max_size=8
+).map(_literals)
+
+
+class TestTheoryParts:
+    def test_shared_constant_links_nothing(self):
+        literals = _literals([
+            (cmp("=", S, const("a")), False),
+            (cmp("=", T, const("a")), False),
+            (cmp("<>", S, T), False),
+        ])
+        assert [len(part) for part in independent_parts(literals)] == [3]
+        assert [len(part) for part in independent_parts(literals[:2])] == [1, 1]
+        assert not check_literals(literals)
+        assert not Solver()._theory_ok(literals)
+
+    def test_a_shared_part_is_decided_once(self):
+        less, is_a, is_b = _literals([
+            (cmp("<", A, B), False),
+            (cmp("=", S, const("a")), False),
+            (cmp("=", S, const("b")), False),
+        ])
+        local = Solver()
+        assert local._theory_ok((less, is_a))
+        assert local.stats["theory_calls"] == 2
+        assert not local._theory_ok((less, is_a, is_b))
+        assert local.stats["theory_calls"] == 3
+        assert local.stats["theory_cache_hits"] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(literal_sets, st.data())
+    def test_parts_decide_like_the_whole_set(self, literals, data):
+        """Property: per-part verdicts equal the whole-set verdict, on a
+        fresh solver and on one whose cache already holds other sets
+        (reorderings of parts of this one among them)."""
+        whole = check_literals(literals)
+        assert Solver()._theory_ok(literals) == whole
+        warm = Solver()
+        for _ in range(data.draw(st.integers(1, 3))):
+            pool = [*literals, *data.draw(literal_sets)]
+            earlier = data.draw(st.permutations(pool))
+            warm._theory_ok(tuple(earlier[:data.draw(
+                st.integers(0, len(earlier))
+            )]))
+        assert warm._theory_ok(literals) == whole
