@@ -230,7 +230,7 @@ def minfix_large_kernel():
 
 
 def map_atom_preds_kernel():
-    """Atom dedup across syntactic variants (canonical prefilter path)."""
+    """Atom dedup across syntactic variants."""
     solver = Solver()
     variants = [
         Comparison("=", A, B),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.logic.formulas import Comparison, conj
 from repro.logic.substitute import instantiate
-from repro.solver import default_solver
 
 
 @dataclass
@@ -36,13 +35,12 @@ def _pair_unequal(term, suffix_a="#1", suffix_b="#2"):
     return Comparison("<>", instantiate(term, suffix_a), instantiate(term, suffix_b))
 
 
-def fix_grouping(where, working_terms, target_terms, solver=None):
+def fix_grouping(where, working_terms, target_terms, solver):
     """``FixGrouping(P, o, o*)``: compute (remove, add) index sets.
 
     ``where`` is the (unified) WHERE condition; ``working_terms`` and
     ``target_terms`` are the GROUP BY expression lists of Q and Q*.
     """
-    solver = solver or default_solver()
     premise = conj(instantiate(where, "#1"), instantiate(where, "#2"))
     target_agreement = conj(*(_pair_equal(t) for t in target_terms))
 

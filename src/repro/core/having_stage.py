@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.core.where_repair import repair_where
 from repro.logic.formulas import TRUE, conj
-from repro.solver import default_solver
 from repro.solver.aggregates import HavingContext, scalarize_formula
 
 
@@ -70,17 +69,15 @@ def analyze_having(where, working_group, target_group, working_having,
     return HavingAnalysis(working_scalar, target_scalar, context, aggregates)
 
 
-def having_equivalent(analysis, solver=None):
+def having_equivalent(analysis, solver):
     """Viability check V4 under the HAVING base context."""
-    solver = solver or default_solver()
     return solver.is_equiv(
         analysis.working_scalar, analysis.target_scalar, analysis.context
     )
 
 
-def repair_having(analysis, max_sites=2, optimized=True, solver=None):
+def repair_having(analysis, max_sites=2, optimized=True, *, solver):
     """Repair the (scalarized) working HAVING toward the target's."""
-    solver = solver or default_solver()
     return repair_where(
         analysis.working_scalar,
         analysis.target_scalar,

@@ -108,24 +108,21 @@ def map_atom_preds(formulas, solver, context=()):
 
     Each atom maps to the first representative it is equivalent to, or
     equivalent to the negation of, under ``context``; otherwise it becomes
-    a new representative.  Before paying for SMT checks, each atom is
-    canonicalized (:mod:`repro.solver.atoms`): syntactically distinct atoms
-    with the same canonical form merge without a solver call.
-
-    Canonical-form misses scan the representatives.  The two ``is_equiv``
-    checks run only against representatives in the atom's own component
-    (the atoms and context conjuncts linked by shared base terms, as in
-    :func:`build_truth_table`).  Across components the checks have a
-    closed form, because a conjunction over disjoint base terms is
-    satisfiable iff each part is: if the context is unsatisfiable every
-    atom matches, and otherwise two atoms match only when both are
-    constant under it -- equivalent if the constants agree, equivalent to
-    the negation if not.  Each atom's constancy is decided lazily, with
-    two cached ``is_satisfiable`` calls.  The mapping is exactly the one
-    the plain pairwise scan returns.
+    a new representative.  The two ``is_equiv`` checks run only against
+    representatives in the atom's own component (the atoms and context
+    conjuncts linked by shared base terms, as in
+    :func:`build_truth_table`); an atom with the same canonical form as a
+    representative (:mod:`repro.solver.atoms`) is caught by the first of
+    them, whose ``iff`` abstracts to ``v <-> v`` and needs no theory call.
+    Across components the checks have a closed form, because a conjunction
+    over disjoint base terms is satisfiable iff each part is: if the
+    context is unsatisfiable every atom matches, and otherwise two atoms
+    match only when both are constant under it -- equivalent if the
+    constants agree, equivalent to the negation if not.  An atom's
+    constancy takes two ``is_satisfiable`` calls, which the solver
+    memoizes.  The mapping is exactly the one the plain pairwise scan
+    returns.
     """
-    from repro.solver.atoms import CanonicalLiteral, canonicalize
-
     unique = list(dict.fromkeys(
         atom for formula in formulas for atom in formula.atoms()
     ))
@@ -133,61 +130,39 @@ def map_atom_preds(formulas, solver, context=()):
     for number, (indices, _) in enumerate(_components(unique, context)):
         for i in indices:
             component[unique[i]] = number
-    outcomes = {}
 
     def can_hold_and_fail(atom):
-        pair = outcomes.get(atom)
-        if pair is None:
-            pair = outcomes[atom] = (
-                solver.is_satisfiable(atom, context),
-                solver.is_satisfiable(neg(atom), context),
-            )
-        return pair
+        return (
+            solver.is_satisfiable(atom, context),
+            solver.is_satisfiable(neg(atom), context),
+        )
 
     atoms = []
     polarity = {}
-    # canonical Atom -> (var_index, polarity of the canonical literal that
-    # is equivalent to atoms[var_index])
-    canon_index = {}
     for atom in unique:
-        literal = canonicalize(atom)
-        if not isinstance(literal, CanonicalLiteral):
-            literal = None
         mapped = None
-        if literal is not None:
-            hit = canon_index.get(literal.atom)
-            if hit is not None:
-                index, rep_positive = hit
-                mapped = (index, literal.positive == rep_positive)
-        if mapped is None:
-            for i, representative in enumerate(atoms):
-                if component[representative] == component[atom]:
-                    if solver.is_equiv(atom, representative, context):
-                        mapped = (i, True)
-                        break
-                    if solver.is_equiv(atom, neg(representative), context):
-                        mapped = (i, False)
-                        break
-                    continue
-                holds, fails = can_hold_and_fail(atom)
-                if holds and fails:
-                    continue  # varies, so it equals no atom of another component
-                if not (holds or fails):  # the context is unsatisfiable
+        for i, representative in enumerate(atoms):
+            if component[representative] == component[atom]:
+                if solver.is_equiv(atom, representative, context):
                     mapped = (i, True)
                     break
-                rep_holds, rep_fails = can_hold_and_fail(representative)
-                if rep_holds != rep_fails:  # both constant
-                    mapped = (i, holds == rep_holds)
+                if solver.is_equiv(atom, neg(representative), context):
+                    mapped = (i, False)
                     break
+                continue
+            holds, fails = can_hold_and_fail(atom)
+            if holds and fails:
+                continue  # varies, so it equals no atom of another component
+            if not (holds or fails):  # the context is unsatisfiable
+                mapped = (i, True)
+                break
+            rep_holds, rep_fails = can_hold_and_fail(representative)
+            if rep_holds != rep_fails:  # both constant
+                mapped = (i, holds == rep_holds)
+                break
         if mapped is None:
             atoms.append(atom)
             mapped = (len(atoms) - 1, True)
-        if literal is not None:
-            index, positive = mapped
-            canon_index.setdefault(
-                literal.atom,
-                (index, literal.positive if positive else not literal.positive),
-            )
         polarity[atom] = mapped
     return AtomMapping(atoms, polarity)
 

@@ -33,7 +33,7 @@ from repro.obs.effort import effort_delta, effort_snapshot, nonzero
 from repro.query import ResolvedQuery
 from repro.service.deadline import DeadlineExceeded
 from repro.solver import Solver
-from repro.sqlparser import parse_query
+from repro.sqlparser.rewrite import parse_query_extended
 
 _STAGE_SECONDS = REGISTRY.histogram(
     "repro_stage_seconds",
@@ -132,7 +132,7 @@ class QrHint:
 
     def _coerce(self, query):
         if isinstance(query, str):
-            return parse_query(query, self.catalog)
+            return parse_query_extended(query, self.catalog)
         return query
 
     # ------------------------------------------------------------------

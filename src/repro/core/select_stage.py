@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.solver import default_solver
 from repro.solver.aggregates import scalarize_term
 
 
@@ -26,9 +25,8 @@ class SelectDelta:
         return not self.remove and not self.add
 
 
-def fix_select(working_terms, target_terms, context=(), solver=None):
+def fix_select(working_terms, target_terms, context, solver):
     """``FixSelect(P, o, o*)``: per-index inequivalent positions."""
-    solver = solver or default_solver()
     delta = SelectDelta()
     overlap = min(len(working_terms), len(target_terms))
     for index in range(overlap):

@@ -27,7 +27,6 @@ from repro.core.derive_fixes import derive_fixes
 from repro.core.derive_opt import min_fix_mult
 from repro.errors import RepairError, SolverLimitError
 from repro.logic.paths import disjoint_path_sets, repairable_paths
-from repro.solver import default_solver
 
 
 @dataclass
@@ -61,7 +60,8 @@ def repair_where(
     target,
     max_sites=2,
     optimized=False,
-    solver=None,
+    *,
+    solver,
     context=(),
     weight=DEFAULT_SITE_WEIGHT,
 ):
@@ -71,7 +71,6 @@ def repair_where(
     experiments use 2).  ``optimized=True`` selects DeriveFixesOPT
     (``MinFixMult``) for multi-site fixes.
     """
-    solver = solver or default_solver()
     start = time.perf_counter()
     result = RepairResult(repair=None, cost=float("inf"))
 
@@ -116,8 +115,7 @@ def _derive(predicate, sites, target, solver, context, optimized):
     return derive_fixes(predicate, sites, target, solver, context)
 
 
-def verify_repair(predicate, target, repair, solver=None, context=()):
+def verify_repair(predicate, target, repair, solver, context=()):
     """Check that applying the repair yields a formula equivalent to target."""
-    solver = solver or default_solver()
     repaired = repair.apply(predicate)
     return solver.is_equiv(repaired, target, context)

@@ -505,7 +505,7 @@ def grade_batch(
                     form_efforts[canonical] = effort_delta(
                         form_before, effort_snapshot(session.solver)
                     )
-            except ReproError as exc:
+            except Exception as exc:  # per form, as ``_grade_unique``
                 failed[canonical] = (
                     str(exc), type(exc).__name__, _innermost_frame()
                 )

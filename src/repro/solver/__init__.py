@@ -1,19 +1,5 @@
 """SMT solver substrate: SAT core + arithmetic/string theories + facade."""
 
-from repro.solver.smt import (
-    Solver,
-    TheoryModel,
-    default_solver,
-    is_equiv,
-    is_satisfiable,
-    is_unsatisfiable,
-)
+from repro.solver.smt import Solver, TheoryModel
 
-__all__ = [
-    "Solver",
-    "TheoryModel",
-    "default_solver",
-    "is_equiv",
-    "is_satisfiable",
-    "is_unsatisfiable",
-]
+__all__ = ["Solver", "TheoryModel"]

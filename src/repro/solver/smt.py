@@ -46,11 +46,14 @@ UNSAT = "unsat"
 
 _MISS = object()  # cache-miss sentinel (None is not a legal verdict)
 
-# Long-lived sessions hold one Solver for their whole lifetime; the theory
-# caches flush wholesale at these sizes so sustained grading traffic cannot
-# grow them without bound (a flush only costs re-derivation, not soundness).
-_THEORY_CACHE_LIMIT = 200_000
-_CORE_CACHE_LIMIT = 50_000
+# Long-lived sessions hold one Solver for their whole lifetime; each memo
+# flushes wholesale at this size so sustained grading traffic cannot grow
+# it without bound (a flush only costs re-derivation, not soundness).
+_CACHE_LIMIT = 200_000
+#: Theory-rejected models :meth:`Solver.find_model` blocks before giving up.
+_MAX_MODEL_ATTEMPTS = 32
+#: Consecutive failed deletions after which ``_shrink_core`` stops.
+_MAX_CORE_STALL = 8
 
 #: Facade counter <- SAT-core counter, folded in per DPLL(T) loop.
 _SAT_COUNTERS = (
@@ -111,7 +114,6 @@ class Solver:
         self.deadline = None
         self._sat_cache = {}
         self._theory_cache = {}
-        self._core_cache = {}  # frozenset(literals) -> shrunk core tuple
         self.stats = {
             "sat_calls": 0,
             "theory_calls": 0,
@@ -139,21 +141,6 @@ class Solver:
             snapshot["cache_hits"] / lookups if lookups else 0.0
         )
         return snapshot
-
-    def reset_stats(self):
-        """Zero the counters and drop the per-lifetime theory caches.
-
-        The memoized primitive verdicts (``_sat_cache``) are kept -- they
-        are pure functions of the formula.  The theory-literal and
-        shrunk-core caches are dropped eagerly here; in steady state they
-        are also flushed automatically at ``_THEORY_CACHE_LIMIT`` /
-        ``_CORE_CACHE_LIMIT`` entries, so long-lived services stay bounded
-        without calling this.
-        """
-        for key in self.stats:
-            self.stats[key] = 0
-        self._theory_cache.clear()
-        self._core_cache.clear()
 
     def _checkpoint(self):
         """Cooperative poll run once per DPLL(T) round.
@@ -210,7 +197,7 @@ class Solver:
             formula, upper, context
         )
 
-    def find_model(self, formula, context=(), max_attempts=32):
+    def find_model(self, formula, context=()):
         """A :class:`TheoryModel` of ``context AND formula``, or None.
 
         Runs the same lazy DPLL(T) loop as the decision primitives but, on
@@ -218,20 +205,20 @@ class Solver:
         concretize the literal conjunction into term values.  Models whose
         concretization fails (e.g. rational-only solutions the integer
         tightening cannot rule out, or exotic string pattern combinations)
-        are blocked and the search continues, up to ``max_attempts`` such
-        rejections; None therefore means "no model surfaced", which is
+        are blocked and the search continues, up to ``_MAX_MODEL_ATTEMPTS``
+        such rejections; None therefore means "no model surfaced", which is
         weaker than UNSAT whenever opaque atoms or extraction limits are in
         play.  Results are deterministic per formula (a fresh SAT core is
         built per call; only the memoized theory-literal cache is shared).
         """
         if not TRACER.enabled:  # keep the production path span-free
-            return self._find_model_impl(formula, context, max_attempts)
+            return self._find_model_impl(formula, context)
         with TRACER.span("solver.find_model") as span:
-            model = self._find_model_impl(formula, context, max_attempts)
+            model = self._find_model_impl(formula, context)
             span.set(found=model is not None)
             return model
 
-    def _find_model_impl(self, formula, context, max_attempts):
+    def _find_model_impl(self, formula, context):
         self.stats["sat_calls"] += 1
         encoded = self._encode(conj(*context, formula))
         if encoded is False:
@@ -250,7 +237,7 @@ class Solver:
                     complete=complete,
                 )
             attempts += 1
-            if attempts >= max_attempts:
+            if attempts >= _MAX_MODEL_ATTEMPTS:
                 return None
             _block_literals(sat, atom_vars, literals)
         return None
@@ -260,12 +247,16 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _check(self, formula, context):
+        cache = self._sat_cache
         key = (formula, tuple(context))
-        if key in self._sat_cache:
+        result = cache.get(key, _MISS)
+        if result is not _MISS:
             self.stats["cache_hits"] += 1
-            return self._sat_cache[key]
+            return result
         result = self._solve(conj(*context, formula))
-        self._sat_cache[key] = result
+        if len(cache) >= _CACHE_LIMIT:
+            cache.clear()  # bound long-lived service growth
+        cache[key] = result
         return result
 
     def _solve(self, formula):
@@ -376,7 +367,7 @@ class Solver:
             if verdict is _MISS:
                 stats["theory_calls"] += 1
                 verdict = check_literals(part)
-                if len(cache) >= _THEORY_CACHE_LIMIT:
+                if len(cache) >= _CACHE_LIMIT:
                     cache.clear()  # bound long-lived service growth
                 cache[key] = verdict
             else:
@@ -385,27 +376,21 @@ class Solver:
                 return False
         return True
 
-    def _shrink_core(self, literals, max_stall=8):
+    def _shrink_core(self, literals):
         """Deletion-based minimization of an inconsistent literal set.
 
         Literals are dropped longest-payload-first: complex atoms are the
         least likely to be essential to the conflict, so trying them first
-        shrinks the core fastest.  Once ``max_stall`` consecutive deletion
-        attempts fail the core has (almost certainly) stopped shrinking and
-        we accept it, cutting theory calls on large conflicts; any
-        inconsistent superset is still a sound blocking clause.
-
-        Shrunk cores are memoized per literal set (``_core_cache``), so a
-        conflict re-hit by a later DPLL(T) loop pays no theory calls the
-        second time.
+        shrinks the core fastest.  Once ``_MAX_CORE_STALL`` consecutive
+        deletion attempts fail the core has (almost certainly) stopped
+        shrinking and we accept it, cutting theory calls on large
+        conflicts; any inconsistent superset is still a sound blocking
+        clause.  A repeated shrink re-decides only parts that
+        ``_theory_cache`` already holds.
         """
         core = list(literals)
         if len(core) > 24:  # too costly to shrink; block the full assignment
             return core
-        key = frozenset(literals)
-        cached = self._core_cache.get(key)
-        if cached is not None:
-            return list(cached)
         core.sort(key=lambda literal: len(str(literal[0])), reverse=True)
         i = 0
         stall = 0
@@ -417,11 +402,8 @@ class Solver:
             else:
                 i += 1
                 stall += 1
-                if stall >= max_stall:
+                if stall >= _MAX_CORE_STALL:
                     break
-        if len(self._core_cache) >= _CORE_CACHE_LIMIT:
-            self._core_cache.clear()  # bound long-lived service growth
-        self._core_cache[key] = tuple(core)
         return core
 
     def _abstract(self, formula, atom_vars, builder):
@@ -462,23 +444,3 @@ class Solver:
                 return children[0]
             return ("and" if is_and else "or", children)
         raise TypeError(f"not a formula: {formula!r}")
-
-
-_DEFAULT_SOLVER = Solver()
-
-
-def default_solver():
-    """Process-wide shared solver (shares caches across the pipeline)."""
-    return _DEFAULT_SOLVER
-
-
-def is_satisfiable(formula, context=()):
-    return default_solver().is_satisfiable(formula, context)
-
-
-def is_unsatisfiable(formula, context=()):
-    return default_solver().is_unsatisfiable(formula, context)
-
-
-def is_equiv(left, right, context=()):
-    return default_solver().is_equiv(left, right, context)

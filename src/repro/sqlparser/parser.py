@@ -79,6 +79,19 @@ class Parser:
     # -- statement ------------------------------------------------------
 
     def parse_select(self):
+        """One SELECT statement, with nothing after it."""
+        stmt = self.parse_select_only()
+        if self.accept_keyword("ORDER"):
+            raise UnsupportedSQLError("ORDER BY is outside the supported fragment")
+        if self.current.kind != "eof":
+            raise ParseError(
+                f"unexpected trailing input {self.current.value!r}",
+                self.current.position,
+            )
+        return stmt
+
+    def parse_select_only(self):
+        """One SELECT block, leaving whatever follows it unread."""
         self.expect_keyword("SELECT")
         stmt = SelectStatement()
         stmt.distinct = bool(self.accept_keyword("DISTINCT"))
@@ -86,9 +99,9 @@ class Parser:
         while self.accept_op(","):
             stmt.select_items.append(self._select_item())
         self.expect_keyword("FROM")
-        stmt.from_tables.append(self._table_ref())
+        stmt.from_tables.append(self._table_source())
         while self.accept_op(","):
-            stmt.from_tables.append(self._table_ref())
+            stmt.from_tables.append(self._table_source())
         if self.accept_keyword("WHERE"):
             stmt.where = self._condition()
         if self.accept_keyword("GROUP"):
@@ -98,13 +111,6 @@ class Parser:
                 stmt.group_by.append(self._expr())
         if self.accept_keyword("HAVING"):
             stmt.having = self._condition()
-        if self.accept_keyword("ORDER"):
-            raise UnsupportedSQLError("ORDER BY is outside the supported fragment")
-        if self.current.kind != "eof":
-            raise ParseError(
-                f"unexpected trailing input {self.current.value!r}",
-                self.current.position,
-            )
         return stmt
 
     def _select_item(self):
@@ -120,6 +126,11 @@ class Parser:
         elif self.current.kind == "ident":
             alias = self.advance().value
         return SelectItem(expr, alias)
+
+    def _table_source(self):
+        """One FROM entry; :class:`~repro.sqlparser.rewrite.ExtendedParser`
+        also accepts a parenthesized subquery."""
+        return self._table_ref()
 
     def _table_ref(self):
         token = self.advance()

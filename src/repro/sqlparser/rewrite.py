@@ -38,40 +38,7 @@ class ExtendedParser(Parser):
                 self.expect_op(")")
                 if not self.accept_op(","):
                     break
-        statement = self.parse_select_only()
-        if self.current.kind != "eof":
-            raise ParseError(
-                f"unexpected trailing input {self.current.value!r}",
-                self.current.position,
-            )
-        return statement, ctes
-
-    def parse_select_only(self):
-        """Like ``parse_select`` but tolerant of enclosing context."""
-        saved_check = self.current
-        if not saved_check.is_keyword("SELECT"):
-            raise ParseError("expected SELECT", saved_check.position)
-        # Reuse the base implementation without its EOF check.
-        self.expect_keyword("SELECT")
-        stmt = ast.SelectStatement()
-        stmt.distinct = bool(self.accept_keyword("DISTINCT"))
-        stmt.select_items.append(self._select_item())
-        while self.accept_op(","):
-            stmt.select_items.append(self._select_item())
-        self.expect_keyword("FROM")
-        stmt.from_tables.append(self._table_source())
-        while self.accept_op(","):
-            stmt.from_tables.append(self._table_source())
-        if self.accept_keyword("WHERE"):
-            stmt.where = self._condition()
-        if self.accept_keyword("GROUP"):
-            self.expect_keyword("BY")
-            stmt.group_by.append(self._expr())
-            while self.accept_op(","):
-                stmt.group_by.append(self._expr())
-        if self.accept_keyword("HAVING"):
-            stmt.having = self._condition()
-        return stmt
+        return self.parse_select(), ctes
 
     def accept_keyword_word(self, word):
         """Accept an identifier-or-keyword matching ``word`` (WITH is not a

@@ -28,7 +28,6 @@ from repro.logic.formulas import (
 from repro.logic.paths import all_paths, paths_disjoint, replace_at
 from repro.logic.terms import AggCall, add, const, intvar, strvar
 from repro.solver import Solver
-from repro.solver.atoms import CanonicalLiteral, canonicalize
 
 A, B, C, D, E, F = (intvar(x) for x in "ABCDEF")
 OPS = ["=", "<>", "<", "<=", ">", ">="]
@@ -76,40 +75,26 @@ def reference_table(mapping, lower, upper, solver, context):
 def _pairwise_map_atom_preds(formulas, solver, context=()):
     """Reference: ``MapAtomPreds`` by the plain pairwise scan.
 
-    After the canonical-form prefilter, every atom is checked against
-    every representative in turn, two ``is_equiv`` calls each, whatever
-    base terms the two share.  Returns ``(atoms, polarity)``.
+    Every atom is checked against every representative in turn, two
+    ``is_equiv`` calls each, whatever base terms the two share.  Returns
+    ``(atoms, polarity)``.
     """
-    atoms, polarity, canon_index = [], {}, {}
+    atoms, polarity = [], {}
     for formula in formulas:
         for atom in formula.atoms():
             if atom in polarity:
                 continue
-            literal = canonicalize(atom)
-            if not isinstance(literal, CanonicalLiteral):
-                literal = None
             mapped = None
-            if literal is not None:
-                hit = canon_index.get(literal.atom)
-                if hit is not None:
-                    mapped = (hit[0], literal.positive == hit[1])
-            if mapped is None:
-                for i, representative in enumerate(atoms):
-                    if solver.is_equiv(atom, representative, context):
-                        mapped = (i, True)
-                        break
-                    if solver.is_equiv(atom, neg(representative), context):
-                        mapped = (i, False)
-                        break
+            for i, representative in enumerate(atoms):
+                if solver.is_equiv(atom, representative, context):
+                    mapped = (i, True)
+                    break
+                if solver.is_equiv(atom, neg(representative), context):
+                    mapped = (i, False)
+                    break
             if mapped is None:
                 atoms.append(atom)
                 mapped = (len(atoms) - 1, True)
-            if literal is not None:
-                index, positive = mapped
-                canon_index.setdefault(
-                    literal.atom,
-                    (index, literal.positive if positive else not literal.positive),
-                )
             polarity[atom] = mapped
     return atoms, polarity
 

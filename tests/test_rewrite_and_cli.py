@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.core.pipeline import QrHint
+from repro.core.pipeline import QrHint, grade
 from repro.engine import appear_equivalent
 from repro.errors import ParseError, UnsupportedSQLError
+from repro.service import AssignmentSession
 from repro.sqlparser import parse_query
 from repro.sqlparser.rewrite import parse_extended, parse_query_extended
 
@@ -127,6 +128,26 @@ class TestWithClauses:
             "SELECT cheap.beer FROM cheap"
         )
         assert flattened.from_tables[0].table == "Serves"
+
+    def test_one_call_grade_flattens_with(self, beers_catalog):
+        report = grade(
+            beers_catalog,
+            "SELECT s.beer FROM Serves s WHERE s.price > 2",
+            "WITH cheap AS (SELECT beer, price FROM Serves WHERE price < 100) "
+            "SELECT c.beer FROM cheap c WHERE c.price > 3",
+        )
+        assert not report.all_passed
+        assert appear_equivalent(
+            report.final_query, report.target_query, beers_catalog, trials=40
+        )
+
+    def test_order_by_unsupported_everywhere(self, beers_catalog):
+        target = "SELECT beer FROM Serves WHERE price > 2"
+        ordered = "SELECT beer FROM Serves WHERE price > 3 ORDER BY beer"
+        with pytest.raises(UnsupportedSQLError):
+            AssignmentSession(beers_catalog, target).grade(ordered)
+        with pytest.raises(UnsupportedSQLError):
+            grade(beers_catalog, target, ordered)
 
     def test_flattened_query_through_pipeline(self, beers_catalog):
         target = parse_query(

@@ -261,6 +261,30 @@ class TestBatchGrading:
         # 2 graded submissions over 1 successful form -> 50%, never negative.
         assert batch.cache_hit_rate == 0.5
 
+    def test_serial_path_records_unexpected_failures(
+        self, beers_catalog, monkeypatch
+    ):
+        # A failure outside ReproError fails only its own form, with its
+        # kind and innermost frame, as on the pool path.
+        target = "SELECT beer FROM Serves WHERE price > 2"
+        pool = [f"SELECT beer FROM Serves WHERE price > {i}" for i in range(4)]
+        bad, _ = AssignmentSession(beers_catalog, target).prepare(pool[1])
+        original = AssignmentSession.grade_canonical
+
+        def flaky(session, canonical, deadline=None):
+            if canonical == bad:
+                raise RuntimeError("boom")
+            return original(session, canonical, deadline)
+
+        monkeypatch.setattr(AssignmentSession, "grade_canonical", flaky)
+        batch = grade_batch(beers_catalog, target, pool, processes=1)
+        failure = batch.results[1]
+        assert isinstance(failure, GradeError)
+        assert (failure.kind, failure.error) == ("RuntimeError", "boom")
+        assert failure.detail.endswith("in flaky")
+        assert batch.errors == 1 and batch.unique_failed == 1
+        assert batch.results[2].all_passed
+
     def test_format_variant_preserves_multiword_literals(self):
         from repro.workloads.userstudy import _format_variant
         import random

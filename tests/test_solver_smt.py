@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic.formulas import Comparison, FALSE, TRUE, neg
 from repro.logic.terms import AggCall, add, const, div, intvar, mul, strvar
-from repro.solver import Solver
+from repro.solver import Solver, smt
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.theory import check_literals, independent_parts
 
@@ -164,19 +164,16 @@ class TestCaching:
         assert local.stats["theory_calls"] == calls  # served from cache
         assert local.stats["theory_cache_hits"] >= 1
 
-    def test_reset_stats_clears_theory_caches(self):
+    def test_memos_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(smt, "_CACHE_LIMIT", 8)
         local = Solver()
-        assert local.is_satisfiable(cmp("<", A, B) & cmp("<", B, C))
-        assert local._theory_cache
-        local.reset_stats()
-        assert not local._theory_cache
-        assert not local._core_cache
-        assert all(value == 0 for value in local.stats.values())
-        # The primitive verdict cache survives (pure function of formula).
-        before = local.stats["sat_calls"]
-        assert local.is_satisfiable(cmp("<", A, B) & cmp("<", B, C))
-        assert local.stats["sat_calls"] == before
-        assert local.stats["cache_hits"] == 1
+        for bound in range(20):
+            # Satisfiable for bound <= 8, unsatisfiable above.
+            formula = cmp(">", A, const(bound)) & cmp("<", A, const(10))
+            verdict = local.is_satisfiable(formula)
+            assert len(local._sat_cache) <= 8
+            assert len(local._theory_cache) <= 8
+            assert verdict == Solver().is_satisfiable(formula)
 
     def test_stats_snapshot_has_new_counters(self):
         local = Solver()

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -550,3 +551,24 @@ class TestUserstudyWitnessPinned:
             assert result.text(show_fixes=True) == (
                 self.EXPECTED[question.qid]
             ), question.qid
+
+    def test_corpus_self_comparison_witness(self):
+        # The corpus's US-Q2 mutant whose WHERE compares t2.author with
+        # itself.  Its witness comes from the solver-model path, which no
+        # benchmark digest covers, and it moves with the theory cores.
+        wrong = (
+            "SELECT t1.area, t1.year, COUNT(DISTINCT t3.author) "
+            "FROM conference_paper t1, authorship t2, authorship t3 "
+            "WHERE (t1.pubkey = t2.pubkey AND t3.pubkey = t1.pubkey "
+            "AND t2.author <> t2.author AND t1.year < 2018 "
+            "AND t1.area = 'Database') GROUP BY t2.author, t1.year"
+        )
+        session = AssignmentSession(dblp.catalog(), dblp.Q2.correct_sql)
+        result = session.grade(wrong, witness=True)
+        assert result.witness.tables == (
+            ("authorship", ("pubkey", "author"),
+             (("w2", "w0"), ("w2", "w1"))),
+            ("conference_paper",
+             ("pubkey", "title", "conference_name", "year", "area"),
+             (("w2", "Amy", "Database", Fraction(0), "Database"),)),
+        )
