@@ -623,14 +623,16 @@ def cmd_grade_batch(args):
         for i, result in enumerate(batch.results):
             print(f"\n--- submission {i} ---")
             if isinstance(result, GradeError):
-                print(f"error: {result.error}")
+                print(f"error: {result.kind}: {result.error}")
+                if result.detail:
+                    print(f"  {result.detail}")
             else:
                 print("\n".join(format_grade_lines(result)))
     if args.json_out:
         payload = {
             "stats": stats,
             "results": [
-                {"error": r.error, "kind": r.kind}
+                {"error": r.error, "kind": r.kind, "detail": r.detail}
                 if isinstance(r, GradeError)
                 else r.to_dict()
                 for r in batch.results

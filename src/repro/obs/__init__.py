@@ -7,18 +7,17 @@ Three pieces (see ``docs/observability.md``):
   guard with ``TRACER.enabled``.  A trace is opened per request/CLI run
   with ``with TRACER.trace("grade") as handle:``.
 * :data:`REGISTRY` -- the process-wide :class:`MetricsRegistry` holding
-  service-level counters/gauges/histograms; snapshots are JSON-safe and
-  mergeable (batch workers ship deltas back via :func:`snapshot_delta`).
+  service-level counters/gauges/histograms, rendered on ``/metrics``.
 * :mod:`repro.obs.export` -- Prometheus text rendering of scrape-time
   families (the existing solver/session/cache counters, re-homed without
   renaming their public keys) and a text-format validator.
 
-The second generation (see ISSUE 8) adds:
+Alongside them:
 
 * :data:`JOURNAL` -- the process-wide always-on bounded flight recorder
   (:mod:`repro.obs.journal`);
-* :mod:`repro.obs.effort` -- per-request solver-effort attribution via
-  counter snapshot/deltas;
+* :mod:`repro.obs.effort` -- solver-effort attribution per request,
+  batch form and pipeline stage via counter snapshot/deltas;
 * :mod:`repro.obs.baseline` -- the unified perf-regression sentinel over
   the committed ``BENCH_*.json`` files (``repro perfdiff``).
 """
@@ -38,7 +37,6 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     log_buckets,
     render_families,
-    snapshot_delta,
 )
 from repro.obs.trace import TRACER, Span, Trace, TraceHandle, Tracer
 
@@ -80,7 +78,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "log_buckets",
     "render_families",
-    "snapshot_delta",
     "parse_prometheus_text",
     "service_metric_families",
 ]

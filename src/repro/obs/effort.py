@@ -4,13 +4,15 @@ Wall-clock latency says a grade was slow; *effort* says why: how many
 SAT solves, propagations, conflicts, theory rounds, learned clauses and
 infeasible truth-table assignments the solver burned serving it.  This module
 snapshots the existing ``Solver.stats_snapshot()`` counters around a
-unit of work and reports the delta -- the exact discipline the batch
-workers already use to ship solver counters back to the parent, applied
-at request and pipeline-stage granularity:
+unit of work and reports the delta, at request, batch-form and
+pipeline-stage granularity:
 
 * ``session.grade(..., effort=True)`` attaches the per-request delta to
   the :class:`~repro.service.session.GradeResult` (HTTP ``"effort":
   true`` returns it in the response body);
+* ``grade_batch`` measures each unique form it grades (and its witness),
+  on either batch path; the deltas sum to ``BatchResult.solver_stats``
+  and, with ``effort=True``, ride on every result served from the form;
 * each ``stage.<NAME>`` pipeline span carries the stage's nonzero
   counter deltas as an ``effort`` attribute while a trace is active;
 * the HTTP server aggregates every grade's delta per route into the

@@ -1,4 +1,4 @@
-"""Counters, gauges, and log-bucketed histograms with mergeable snapshots.
+"""Counters, gauges, and log-bucketed histograms, rendered for Prometheus.
 
 A :class:`MetricsRegistry` owns a set of named metrics behind one lock:
 
@@ -7,14 +7,9 @@ A :class:`MetricsRegistry` owns a set of named metrics behind one lock:
 * :class:`Histogram` -- log-bucketed observation counts plus sum/count,
   from which p50/p95/p99 are derivable (:meth:`Histogram.quantile`).
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-safe dicts;
-:func:`snapshot_delta` subtracts two of them and
-:meth:`MetricsRegistry.merge` folds a snapshot (typically a worker
-process's delta) into the live registry -- the same delta-merge
-discipline the solver's ``stats_snapshot()`` counters use across batch
-workers.  :meth:`MetricsRegistry.render` emits Prometheus text format
-(version 0.0.4), including any scrape-time collector families registered
-with :meth:`MetricsRegistry.register_collector`.
+:meth:`MetricsRegistry.render` emits Prometheus text format (version
+0.0.4); :func:`render_families` renders the scrape-time families that
+``/metrics`` builds from the service's plain counters.
 """
 
 from __future__ import annotations
@@ -119,12 +114,6 @@ class _Metric:
     def _public_value(self, state):
         return state
 
-    # -- snapshot / render hooks (overridden where needed) -------------
-
-    def _snapshot_values(self):
-        with self._lock:
-            return [[list(key), state] for key, state in self._values.items()]
-
     def _render(self):
         lines = [
             f"# HELP {self.name} {_escape_help(self.help)}",
@@ -155,13 +144,9 @@ class Counter(_Metric):
         with self._lock:
             return self._values.get(key, 0)
 
-    def _merge_state(self, key, state):
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + state
-
 
 class Gauge(_Metric):
-    """A value that can go up and down; merge keeps the incoming value."""
+    """A value that can go up and down."""
 
     kind = "gauge"
 
@@ -179,10 +164,6 @@ class Gauge(_Metric):
         key = self._key(labels)
         with self._lock:
             return self._values.get(key, 0)
-
-    def _merge_state(self, key, state):
-        with self._lock:
-            self._values[key] = state
 
 
 class Histogram(_Metric):
@@ -256,25 +237,6 @@ class Histogram(_Metric):
         counts, total = state
         return {"counts": list(counts), "sum": total, "count": sum(counts)}
 
-    def _merge_state(self, key, state):
-        counts, total = state
-        with self._lock:
-            mine = self._state(key)
-            if len(counts) != len(mine[0]):
-                raise ValueError(
-                    f"histogram {self.name!r}: bucket layout mismatch"
-                )
-            for i, count in enumerate(counts):
-                mine[0][i] += count
-            mine[1] += total
-
-    def _snapshot_values(self):
-        with self._lock:
-            return [
-                [list(key), [list(state[0]), state[1]]]
-                for key, state in self._values.items()
-            ]
-
     def _render(self):
         lines = [
             f"# HELP {self.name} {_escape_help(self.help)}",
@@ -301,16 +263,12 @@ class Histogram(_Metric):
         return lines
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Named metrics behind one lock, with snapshot/merge/render."""
+    """Named metrics behind one lock, rendered as Prometheus text."""
 
     def __init__(self):
         self._lock = threading.RLock()
         self._metrics = {}
-        self._collectors = []
 
     def counter(self, name, help="", labelnames=()):
         return self._register(Counter, name, help, labelnames)
@@ -344,91 +302,12 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def register_collector(self, fn):
-        """Register a scrape-time callable returning metric families."""
-        with self._lock:
-            self._collectors.append(fn)
-
-    # -- snapshot / merge ----------------------------------------------
-
-    def snapshot(self):
-        """JSON-safe point-in-time copy of every registered metric."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        out = {}
-        for metric in metrics:
-            entry = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "labelnames": list(metric.labelnames),
-                "values": metric._snapshot_values(),
-            }
-            if metric.kind == "histogram":
-                entry["buckets"] = list(metric.buckets)
-            out[metric.name] = entry
-        return out
-
-    def merge(self, snapshot):
-        """Fold a snapshot (e.g. a worker delta) into this registry.
-
-        Counters and histograms add; gauges take the incoming value.
-        Metrics not yet registered here are created on the fly from the
-        snapshot's own signature.
-        """
-        for name, entry in snapshot.items():
-            cls = _KINDS[entry["kind"]]
-            extra = {}
-            if entry["kind"] == "histogram":
-                extra["buckets"] = tuple(entry["buckets"])
-            metric = self._register(
-                cls, name, entry.get("help", ""),
-                tuple(entry.get("labelnames", ())), **extra
-            )
-            for key, state in entry["values"]:
-                metric._merge_state(tuple(key), state)
-
     def render(self):
-        """Prometheus text format (0.0.4) for every metric + collector."""
+        """Prometheus text format (0.0.4) for every registered metric."""
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
-            collectors = list(self._collectors)
         lines = []
         for metric in metrics:
             lines.extend(metric._render())
-        text = "\n".join(lines) + ("\n" if lines else "")
-        for fn in collectors:
-            text += render_families(fn())
-        return text
+        return "\n".join(lines) + ("\n" if lines else "")
 
-
-def snapshot_delta(before, after):
-    """``after - before`` in snapshot form (counters/histograms subtract,
-    gauges keep the ``after`` value); suitable for ``registry.merge``."""
-    out = {}
-    for name, entry in after.items():
-        base = before.get(name, {})
-        base_values = {
-            tuple(key): state for key, state in base.get("values", [])
-        }
-        kind = entry["kind"]
-        values = []
-        for key, state in entry["values"]:
-            prior = base_values.get(tuple(key))
-            if kind == "counter":
-                delta = state - (prior or 0)
-                if delta:
-                    values.append([list(key), delta])
-            elif kind == "histogram":
-                counts, total = state
-                if prior is not None:
-                    counts = [c - p for c, p in zip(counts, prior[0])]
-                    total = total - prior[1]
-                if any(counts):
-                    values.append([list(key), [counts, total]])
-            else:  # gauge: latest value wins
-                values.append([list(key), state])
-        if values:
-            slim = dict(entry)
-            slim["values"] = values
-            out[name] = slim
-    return out

@@ -12,12 +12,9 @@ handle exposes the finished span tree (``to_dict()`` / ``tree()`` /
 ``render()``) after the block exits.  Opening a trace while one is
 already active captures a *subtree*: the spans recorded under the nested
 root also stay in the outer trace, so per-request capture (``"trace":
-true``) composes with server-wide slow-request tracing.
-
-Spans serialized in another process (batch workers) are re-parented into
-the current trace with :meth:`Tracer.adopt`: span IDs are remapped and
-start times re-based through the wall clock, the same delta-merge
-discipline the solver's ``stats_snapshot()`` uses for counters.
+true``) composes with server-wide slow-request tracing.  A handle's
+``to_dict()`` is JSON-safe and picklable, which is how batch workers send
+a form's span tree back (see ``BatchResult.traces``).
 """
 
 from __future__ import annotations
@@ -114,62 +111,6 @@ class Trace:
                 keep.add(span.span_id)
                 collected.append(span)
         return collected
-
-    def adopt(self, trace_dict):
-        """Graft spans serialized by :meth:`TraceHandle.to_dict` here.
-
-        Foreign span IDs are remapped into this trace's ID space; foreign
-        roots become children of the currently open span.  Start times
-        are re-based through the serialized wall-clock start, so spans
-        recorded in a worker process land at (approximately) the right
-        offset on this trace's timeline while keeping exact durations.
-
-        Edge cases the re-basing must survive (workers are separate
-        processes with unrelated monotonic clocks):
-
-        * an empty or span-less worker trace adopts as zero spans and
-          must leave this trace untouched;
-        * a missing or null ``wall_start`` falls back to *this* trace's
-          start (offset 0) instead of raising;
-        * wall clocks can disagree, yielding a *negative* re-based
-          offset; offsets and span starts are clamped so adopted spans
-          never start before the span they are grafted under (a span
-          "before its parent" would serialize with a negative
-          ``start_ms`` and corrupt the parent timeline);
-        * negative per-span starts/durations from a clock-stepped worker
-          are clamped to zero rather than propagated.
-        """
-        if not trace_dict:
-            return 0
-        parent_id = self.stack[-1].span_id if self.stack else None
-        # Adopted spans may not start before the span they are grafted
-        # under: handles render start_ms relative to their root span, so
-        # anything earlier would serialize negative.
-        floor = self.stack[-1].start if self.stack else self.perf_start
-        wall_offset = trace_dict.get("wall_start")
-        if wall_offset is None:
-            wall_offset = self.wall_start
-        offset = max(0.0, wall_offset - self.wall_start)
-        id_map = {}
-        adopted = 0
-        for item in trace_dict.get("spans", ()) or ():
-            span = Span.__new__(Span)
-            span._trace = self
-            span.name = item["name"]
-            span.span_id = self._next_id
-            self._next_id += 1
-            id_map[item["id"]] = span.span_id
-            span.parent_id = id_map.get(item.get("parent"), parent_id)
-            start_ms = max(0.0, item.get("start_ms") or 0.0)
-            duration_ms = max(0.0, item.get("duration_ms") or 0.0)
-            span.start = max(
-                floor, self.perf_start + offset + start_ms / 1000.0
-            )
-            span.end = span.start + duration_ms / 1000.0
-            span.attrs = dict(item.get("attrs", ()))
-            self.spans.append(span)
-            adopted += 1
-        return adopted
 
 
 class TraceHandle:
@@ -346,16 +287,6 @@ class Tracer:
         if trace is None:
             return _NULL_SPAN
         return trace.start_span(name, attrs)
-
-    def adopt(self, trace_dict):
-        """Re-parent a serialized worker trace under the current span.
-
-        No-op (returns 0) when no trace is active on this thread.
-        """
-        trace = self._current()
-        if trace is None:
-            return 0
-        return trace.adopt(trace_dict)
 
 
 #: The process-wide tracer every instrumentation point goes through.

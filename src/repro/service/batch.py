@@ -1,20 +1,22 @@
-"""Multiprocessing batch grader: shard unique submissions across workers.
+"""Batch grader: grade each unique canonical form once, serially or on a pool.
 
 Classroom piles are duplicate-heavy, so the batch grader splits grading
 into a cheap front half and an expensive back half:
 
 1. the parent parses + canonicalizes every submission (sub-millisecond
    each) and groups them by canonical form;
-2. only the *unique* canonical queries are graded -- sharded across a
-   process pool, each worker holding a persistent
-   :class:`~repro.service.session.AssignmentSession` (one target parse,
-   one warm solver per worker);
-3. the parent seeds its own session cache with the worker reports and
-   serves every submission from it, so per-submission results come out in
-   input order, in each submitter's alias namespace, and byte-identical
-   to a sequential run.
+2. only the *unique* canonical queries are graded, each through one
+   function, :func:`_grade_form`: in the caller's session (the serial
+   path), or sharded across a process pool whose workers each hold a
+   persistent :class:`~repro.service.session.AssignmentSession` (one
+   target parse, one warm solver per worker) and send back the picklable
+   :class:`_Outcome` of every form;
+3. the parent seeds its own session with the workers' reports and
+   witnesses and serves every submission from its cache, so
+   per-submission results come out in input order, in each submitter's
+   alias namespace, and byte-identical to a sequential run.
 
-Per-worker solver counter deltas are merged into the batch statistics.
+Each form's solver-effort delta is folded into the batch statistics.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
-from repro.obs import JOURNAL, REGISTRY, TRACER, snapshot_delta
+from repro.obs import JOURNAL, REGISTRY, TRACER
 from repro.obs.effort import (
     EFFORT_KEYS,
     effort_delta,
@@ -37,7 +40,7 @@ from repro.obs.effort import (
     merge_effort,
 )
 from repro.service.faults import FAULTS
-from repro.service.session import AssignmentSession
+from repro.service.session import _NO_WITNESS, AssignmentSession
 
 _WORKER_RECOVERIES = REGISTRY.counter(
     "repro_worker_recoveries_total",
@@ -51,10 +54,10 @@ _WORKER_RECOVERIES = REGISTRY.counter(
 class GradeError:
     """A submission that could not be graded (parse/resolve/pipeline/worker).
 
-    ``detail`` carries the innermost traceback frame of worker-side
-    failures so batch errors are diagnosable from the parent without
-    re-running the form; empty for parse-stage errors raised in the
-    parent (the message is the whole story there).
+    ``detail`` carries the innermost traceback frame of a failure while
+    grading a form, on either batch path, so batch errors are diagnosable
+    without re-running the form; empty for parse-stage errors (the
+    message is the whole story there) and for crashed or hung workers.
     """
 
     submission_sql: str
@@ -62,80 +65,57 @@ class GradeError:
     kind: str  # exception class name, e.g. "ParseError"
     detail: str = ""
 
-# Worker-process state, created once per worker by ``_init_worker``.
-_WORKER_SESSION = None
-_WORKER_WITNESS = False
-_WORKER_TRACE = False
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What grading one unique form produced; picklable, so a pool worker
+    returns it as is."""
+
+    report: object = None  # the pipeline Report; None when the form failed
+    error: tuple = None  # (message, kind, innermost frame) on failure
+    effort: dict = field(default_factory=dict)  # solver-effort delta
+    #: The form's witness cache entry (a witness, or the cached-negative
+    #: marker) when this run generated one.
+    witness_entry: object = None
+    trace: dict = None  # serialized span tree, with ``trace=True``
 
 
-def _init_worker(catalog, target, max_sites, witness=False, trace=False):
-    global _WORKER_SESSION, _WORKER_WITNESS, _WORKER_TRACE
-    _WORKER_SESSION = AssignmentSession(catalog, target, max_sites=max_sites)
-    _WORKER_WITNESS = witness
-    _WORKER_TRACE = trace
+def _grade_form(session, canonical, witness, trace):
+    """Grade one unique canonical form in ``session``; never raises.
 
-
-def _grade_unique(canonical):
-    """Grade one canonical query in a worker.
-
-    Returns ``(report_or_None, error_or_None, solver_delta,
-    witness_cache_entry_or_None, metrics_delta, trace_dict_or_None)``.
-    Pipeline failures (e.g. ``RepairError`` when no viable repair exists
-    under the site cap) are captured per-submission, never raised: one
-    unrepairable query must not abort the rest of the pile.
-
-    The worker's registry metrics (stage/grade histograms) are shipped
-    back as a :func:`snapshot_delta` for the parent to merge, and with
-    ``trace=True`` the whole run is captured as a serialized span tree
-    for the parent to re-parent -- the same delta-merge discipline as the
-    solver counter snapshot.
-
-    When the pool was initialized with ``witness=True``, a wrong report's
-    counterexample is generated here too -- the expensive half of witness
-    construction rides the same shards as grading instead of serializing
-    in the parent afterwards.  The raw cache entry (witness object, or
-    the cached-negative sentinel) is returned so the parent can seed its
-    cache with it verbatim; witnesses are deterministic per seed, so the
-    output is byte-identical to a serial run.
+    Both batch paths grade every form through here -- the serial path in
+    the caller's session, the pool path in a worker's -- so a form's
+    report, witness, effort delta and span tree mean the same on either.
+    The effort delta and the span tree cover grading and, with
+    ``witness``, generating a wrong form's counterexample.  On success
+    the report and witness are left in ``session``'s cache; any failure
+    (expected ``ReproError``\\s and unexpected bugs alike, e.g.
+    ``RepairError`` when no viable repair exists under the site cap) is
+    recorded with its class name and innermost frame instead of raised:
+    one bad query must not abort the pile.
     """
-    session = _WORKER_SESSION
-    if FAULTS.enabled:  # chaos harness: crash/hang this worker on demand
-        FAULTS.on_task("batch.worker", payload=canonical.to_sql())
-    before = session.solver.stats_snapshot()
-    metrics_before = REGISTRY.snapshot()
-    report, error, witness_entry, trace_dict = None, None, None, None
-    handle = (
-        TRACER.trace("grade", sql=canonical.to_sql())
-        if _WORKER_TRACE
-        else None
+    before = effort_snapshot(session.solver)
+    report = error = witness_entry = None
+    scope = (
+        TRACER.trace("grade", sql=canonical.to_sql()) if trace
+        else nullcontext()
     )
     try:
-        if handle is not None:
-            handle.__enter__()
-        try:
+        with scope:
             report = session.grade_canonical(canonical)
-            if _WORKER_WITNESS and not report.all_passed:
-                session.witness_canonical(canonical)
-                witness_entry = session.cache.get(("witness", canonical))
-        finally:
-            if handle is not None:
-                handle.__exit__(None, None, None)
-                trace_dict = handle.to_dict()
+            if witness and not report.all_passed:
+                found = session.witness_canonical(canonical)
+                witness_entry = _NO_WITNESS if found is None else found
+        session.cache.put(canonical, report)
     except Exception as exc:
-        # Any failure -- expected ReproErrors and unexpected bugs alike --
-        # is captured per-form rather than raised: one bad query must not
-        # abort the pile, and the parent needs enough context (class name
-        # plus the innermost frame) to diagnose without re-running.
+        report = None
         error = (str(exc), type(exc).__name__, _innermost_frame())
-    after = session.solver.stats_snapshot()
-    metrics_delta = snapshot_delta(metrics_before, REGISTRY.snapshot())
-    return (
-        report,
-        error,
-        effort_delta(before, after),
-        witness_entry,
-        metrics_delta,
-        trace_dict,
+    return _Outcome(
+        report=report,
+        error=error,
+        effort=effort_delta(before, effort_snapshot(session.solver)),
+        witness_entry=witness_entry,
+        trace=scope.to_dict() if trace else None,
     )
 
 
@@ -145,6 +125,24 @@ def _innermost_frame():
         if line.lstrip().startswith("File "):
             return line.strip()
     return ""
+
+
+# Worker-process state ``(session, witness, trace)``, set by ``_init_worker``.
+_WORKER = None
+
+
+def _init_worker(catalog, target, max_sites, witness, trace):
+    global _WORKER
+    session = AssignmentSession(catalog, target, max_sites=max_sites)
+    _WORKER = (session, witness, trace)
+
+
+def _grade_in_worker(canonical):
+    """Pool entry point: the chaos-harness fault hook, then :func:`_grade_form`."""
+    if FAULTS.enabled:  # crash/hang this worker on demand
+        FAULTS.on_task("batch.worker", payload=canonical.to_sql())
+    session, witness, trace = _WORKER
+    return _grade_form(session, canonical, witness, trace)
 
 
 @dataclass
@@ -159,8 +157,9 @@ class BatchResult:
     solver_stats: dict = field(default_factory=dict)
     cache_stats: dict = field(default_factory=dict)
     #: With ``trace=True``: one serialized span tree (the
-    #: :meth:`TraceHandle.to_dict` shape) per successfully graded unique
-    #: canonical form.
+    #: :meth:`TraceHandle.to_dict` shape) per unique canonical form whose
+    #: grading returned, pipeline failures included (a form that gave up
+    #: after worker crashes or hangs has none).
     traces: list = field(default_factory=list)
     #: Worker fault-recovery tallies for this run: ``crashes`` (pool
     #: rounds broken by a dead worker), ``hangs`` (no-progress windows
@@ -232,15 +231,15 @@ def _kill_executor(executor):
         proc.join(timeout=5)
 
 
-def _pool_round(indices, pending, initargs, workers, task_timeout, graded):
-    """One shared-pool grading round over ``indices`` into ``pending``.
+def _grade_on_pool(forms, initargs, workers, task_timeout, max_retries,
+                   recoveries):
+    """Grade ``forms`` on a shared process pool; returns ``{form: _Outcome}``.
 
-    Completed forms land in ``graded`` (index -> worker result tuple).
-    Returns ``(leftover_indices, reason)``: forms not completed because a
-    worker died (``BrokenProcessPool`` fails every outstanding future) or
-    because no future completed within a ``task_timeout`` window (a hung
-    worker; only detected when a timeout was given).  ``reason`` is None
-    on a clean round, else ``"crash"`` / ``"hang"``.
+    A worker that dies (``BrokenProcessPool`` fails every outstanding
+    future) or, with ``task_timeout`` set, a full window in which no
+    future completes (a hung worker) ends the shared round: completed
+    outcomes are kept and every unfinished form is handed to
+    :func:`_isolate_form`.
     """
     executor = ProcessPoolExecutor(
         max_workers=workers,
@@ -248,14 +247,13 @@ def _pool_round(indices, pending, initargs, workers, task_timeout, graded):
         initializer=_init_worker,
         initargs=initargs,
     )
-    futures = {
-        executor.submit(_grade_unique, pending[i]): i for i in indices
-    }
+    futures = {executor.submit(_grade_in_worker, form): form for form in forms}
+    outcomes = {}
     outstanding = set(futures)
     reason = None
     try:
-        while outstanding:
-            done, not_done = wait(
+        while outstanding and reason is None:
+            done, outstanding = wait(
                 outstanding, timeout=task_timeout,
                 return_when=FIRST_COMPLETED,
             )
@@ -264,39 +262,44 @@ def _pool_round(indices, pending, initargs, workers, task_timeout, graded):
                 # outstanding form is handed to isolation retries (the
                 # hung one will hang again solo and be blamed precisely).
                 reason = "hang"
-                break
             for future in done:
                 try:
-                    graded[futures[future]] = future.result()
+                    outcomes[futures[future]] = future.result()
                 except Exception:
                     # The worker died (BrokenProcessPool / lost result).
                     # All remaining futures fail the same way, so stop the
                     # round rather than churning through them.
                     reason = "crash"
-            outstanding = not_done
-            if reason is not None:
-                break
     finally:
         if reason is None:
             executor.shutdown(wait=True)
         else:
             _kill_executor(executor)
-    leftovers = sorted(
-        futures[f] for f in futures
-        if futures[f] not in graded
-    )
-    return leftovers, reason
+    if reason is not None:
+        recoveries["crashes" if reason == "crash" else "hangs"] += 1
+        _WORKER_RECOVERIES.inc(kind=reason)
+        JOURNAL.record(
+            "batch.pool_broken", reason=reason,
+            leftovers=len(forms) - len(outcomes),
+        )
+    for form in forms:
+        if form not in outcomes:
+            outcomes[form] = _isolate_form(
+                form, initargs, task_timeout, max_retries, recoveries
+            )
+    return outcomes
 
 
-def _isolate_form(canonical, initargs, task_timeout, max_retries):
+def _isolate_form(canonical, initargs, task_timeout, max_retries, recoveries):
     """Grade one leftover form alone, retrying on a fresh single worker.
 
     Shared-pool failures cannot assign blame (a crashed worker fails every
     outstanding future); grading each leftover solo does: an innocent
-    collateral form succeeds on the first isolation attempt, the culprit
-    keeps failing and is recorded as an error tuple after ``max_retries``
-    attempts with linear backoff.  Returns the worker result tuple on
-    success, else ``(message, kind, detail)``.
+    collateral form succeeds on the first isolation attempt (counted as
+    ``retried_ok``, whatever its grading outcome), the culprit keeps
+    failing and, after ``max_retries`` attempts with linear backoff, is
+    counted as ``gave_up`` and returned as an outcome carrying the
+    worker failure.
     """
     sql = canonical.to_sql()
     failure = ("worker failed before reporting", "WorkerCrashError", "")
@@ -307,14 +310,15 @@ def _isolate_form(canonical, initargs, task_timeout, max_retries):
             initializer=_init_worker,
             initargs=initargs,
         )
-        future = executor.submit(_grade_unique, canonical)
+        future = executor.submit(_grade_in_worker, canonical)
         try:
-            result = future.result(timeout=task_timeout)
+            outcome = future.result(timeout=task_timeout)
             executor.shutdown(wait=True)
             if attempt > 1:
                 _WORKER_RECOVERIES.inc(kind="retry_ok")
             JOURNAL.record("batch.retry_ok", sql=sql, attempt=attempt)
-            return result
+            recoveries["retried_ok"] += 1
+            return outcome
         except FuturesTimeoutError:
             failure = (
                 f"worker hung grading this form (> {task_timeout:g}s)",
@@ -337,7 +341,8 @@ def _isolate_form(canonical, initargs, task_timeout, max_retries):
             time.sleep(0.05 * attempt)  # linear backoff before respawn
     _WORKER_RECOVERIES.inc(kind="gave_up")
     JOURNAL.record("batch.gave_up", sql=sql, error=failure[1])
-    return failure
+    recoveries["gave_up"] += 1
+    return _Outcome(error=failure)
 
 
 def grade_batch(
@@ -357,26 +362,26 @@ def grade_batch(
     """Grade ``submissions`` (SQL strings) against one shared ``target``.
 
     ``processes=None`` picks ``min(cpu_count, unique forms)``; ``0`` or
-    ``1`` grades serially in-process (same results, no pool).  Pass an
+    ``1`` grades serially in-process (same results, no pool: both paths
+    grade every unique form through :func:`_grade_form`).  Pass an
     existing ``session`` to reuse its cache across batches.
 
-    ``trace=True`` captures one span tree per graded unique form on
-    ``BatchResult.traces`` -- serialized in the worker processes and
-    re-parented into the parent's active trace (when one is open).
+    ``trace=True`` puts one span tree per graded unique form on
+    ``BatchResult.traces``.
 
     ``witness=True`` attaches an executor-verified counterexample to every
-    wrong result.  Witness construction for the unique forms is sharded
-    over the same worker pool as grading (generation is deterministic per
-    seed, so the output matches a serial run byte for byte); forms already
-    cached by a caller-supplied session fall back to generation in the
-    serve loop.
+    wrong result.  Each unique wrong form's witness is generated right
+    after grading it, in the same session (generation is deterministic
+    per seed, so both paths give the same witnesses byte for byte); forms
+    already cached by a caller-supplied session fall back to generation
+    in the serve loop.
 
     ``effort=True`` attaches the solver-effort counter delta of grading
-    each unique canonical form to every result served from it.  The
-    per-form deltas the workers already ship back for the solver-stats
-    merge double as the attribution source, so effort costs nothing
-    extra in the pool path; forms served from a pre-warmed cache carry
-    an all-zero delta (no solver work was done for them in this batch).
+    each unique canonical form (and generating its witness) to every
+    result served from it; the same deltas sum to
+    ``BatchResult.solver_stats``.  Forms served from a pre-warmed cache
+    carry an all-zero delta (no solver work was done for them in this
+    batch).
 
     The pool path is crash-tolerant: a worker that dies (or, with
     ``task_timeout`` set, makes no progress for a full window) fails only
@@ -422,97 +427,36 @@ def grade_batch(
     pending = list(unique)
     if processes is None:
         processes = min(os.cpu_count() or 1, max(1, len(pending)))
-    solver_stats = {}
-    failed = {}  # canonical form -> (message, kind) for unrepairable piles
-    traces = []
-    form_efforts = {}  # canonical form -> effort delta of grading it
-
     recoveries = {"crashes": 0, "hangs": 0, "retried_ok": 0, "gave_up": 0}
 
     # Back half: grade unique forms, sharded across workers when it pays.
-    if processes > 1 and len(pending) > 1:
+    pooled = processes > 1 and len(pending) > 1
+    if pooled:
         initargs = (session.catalog, session.target, session.max_sites,
                     witness, trace)
-        graded_by_index = {}
-        leftovers, reason = _pool_round(
-            list(range(len(pending))), pending, initargs,
-            min(processes, len(pending)), task_timeout, graded_by_index,
+        outcomes = _grade_on_pool(
+            pending, initargs, min(processes, len(pending)), task_timeout,
+            max_retries, recoveries,
         )
-        if reason is not None:
-            recoveries["crashes" if reason == "crash" else "hangs"] += 1
-            _WORKER_RECOVERIES.inc(kind=reason)
-            JOURNAL.record(
-                "batch.pool_broken", reason=reason, leftovers=len(leftovers)
-            )
-        for index in leftovers:
-            outcome = _isolate_form(
-                pending[index], initargs, task_timeout, max_retries
-            )
-            if len(outcome) == 3:  # (message, kind, detail) failure tuple
-                failed[pending[index]] = outcome
-                continue
-            recoveries["retried_ok"] += 1
-            graded_by_index[index] = outcome
-        recoveries["gave_up"] = len(failed)
-        graded = [graded_by_index.get(i) for i in range(len(pending))]
-        for canonical, entry in zip(pending, graded):
-            if entry is None:  # recorded in ``failed`` by isolation retries
-                continue
-            (
-                report, error, delta, witness_entry, metrics_delta,
-                trace_dict,
-            ) = entry
-            merge_effort(solver_stats, delta)
-            REGISTRY.merge(metrics_delta)
-            if trace_dict is not None:
-                traces.append(trace_dict)
-                # Graft the worker's spans into the parent's trace, when
-                # one is open (e.g. corpus eval under --trace-jsonl).
-                TRACER.adopt(trace_dict)
-            if error is not None:
-                failed[canonical] = error
-                continue
-            if effort:
-                form_efforts[canonical] = delta  # the worker's delta
-            session.seed(canonical, report)
-            session.pipeline_runs += 1
-            session.pipeline_elapsed_total += report.elapsed
-            if witness_entry is not None:
-                # Seed the worker's witness (or cached-negative sentinel)
-                # so the serve loop never regenerates it.
-                session.cache.put(("witness", canonical), witness_entry)
-                session.witness_runs += 1
     else:
-        before = session.solver.stats_snapshot()
-        for canonical in pending:
-            form_before = effort_snapshot(session.solver) if effort else None
-            handle = (
-                TRACER.trace("grade", sql=canonical.to_sql())
-                if trace
-                else None
-            )
-            try:
-                if handle is not None:
-                    handle.__enter__()
-                try:
-                    report = session.grade_canonical(canonical)
-                finally:
-                    if handle is not None:
-                        handle.__exit__(None, None, None)
-                        traces.append(handle.to_dict())
-                session.seed(canonical, report)
-                if effort:
-                    form_efforts[canonical] = effort_delta(
-                        form_before, effort_snapshot(session.solver)
-                    )
-            except Exception as exc:  # per form, as ``_grade_unique``
-                failed[canonical] = (
-                    str(exc), type(exc).__name__, _innermost_frame()
-                )
-        merge_effort(
-            solver_stats,
-            effort_delta(before, session.solver.stats_snapshot()),
-        )
+        outcomes = {
+            canonical: _grade_form(session, canonical, witness, trace)
+            for canonical in pending
+        }
+    solver_stats = {}
+    failed = {}  # canonical form -> (message, kind, detail)
+    traces = []
+    for canonical in pending:
+        outcome = outcomes[canonical]
+        merge_effort(solver_stats, outcome.effort)
+        if outcome.trace is not None:
+            traces.append(outcome.trace)
+        if outcome.error is not None:
+            failed[canonical] = outcome.error
+        elif pooled:
+            # Install what the worker graded, so the serve loop never
+            # re-runs the pipeline or the witness search for this form.
+            session.seed(canonical, outcome.report, outcome.witness_entry)
 
     # Serve every submission from the warm cache, preserving input order.
     results = []
@@ -525,15 +469,17 @@ def grade_batch(
             message, kind, detail = failed[canonical]
             results.append(GradeError(sql, message, kind, detail))
             continue
-        outcome = session.grade(sql, witness=witness, _prepared=entry)
+        result = session.grade(sql, witness=witness, _prepared=entry)
         if effort:
-            outcome = replace(
-                outcome,
-                effort=form_efforts.get(
-                    canonical, dict.fromkeys(EFFORT_KEYS, 0)
+            graded = outcomes.get(canonical)
+            result = replace(
+                result,
+                effort=(
+                    graded.effort if graded is not None
+                    else dict.fromkeys(EFFORT_KEYS, 0)
                 ),
             )
-        results.append(outcome)
+        results.append(result)
     return BatchResult(
         results=results,
         elapsed=time.perf_counter() - start,

@@ -458,9 +458,20 @@ class AssignmentSession:
         self.pipeline_elapsed_total += report.elapsed
         return report
 
-    def seed(self, canonical, report):
-        """Install an externally computed report (batch workers use this)."""
+    def seed(self, canonical, report, witness_entry=None):
+        """Install a report graded in another process (a batch worker).
+
+        ``witness_entry`` is the worker's witness cache entry for the form
+        (a witness, or the cached-negative marker) when it generated one.
+        The pipeline run and witness search count as this session's, so
+        :meth:`stats` reads as if it had graded the form itself.
+        """
         self.cache.put(canonical, report)
+        self.pipeline_runs += 1
+        self.pipeline_elapsed_total += report.elapsed
+        if witness_entry is not None:
+            self.cache.put(("witness", canonical), witness_entry)
+            self.witness_runs += 1
 
     # ------------------------------------------------------------------
 

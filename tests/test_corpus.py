@@ -212,6 +212,31 @@ class TestEvaluateCorpus:
         assert payload["grade_success_rate"] == 1.0
         assert payload["throughput"] > 0
 
+    def test_trace_jsonl_has_one_line_per_unique_form(self, tmp_path):
+        # Groups of 4 take the pool path, smaller groups the serial path.
+        from repro.service.session import AssignmentSession
+
+        pool = CorpusGenerator(schemas=("beers",), seed=0).generate_pool(4)
+        path = tmp_path / "traces.jsonl"
+        evaluate_corpus(
+            pool, schemas=("beers",), processes=2, trace_jsonl=str(path)
+        )
+        catalog = beers.catalog()
+        forms = {}
+        for entry in pool:
+            session = AssignmentSession(catalog, entry.target_sql)
+            canonical, _ = session.prepare(entry.wrong_sql)
+            forms.setdefault(entry.target_sql, set()).add(canonical)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == sum(len(group) for group in forms.values())
+        assert any(len(group) >= 4 for group in forms.values())
+        for record in records:
+            assert record["schema"] == "beers"
+            assert record["target_sql"] in forms
+            names = [span["name"] for span in record["trace"]["spans"]]
+            assert names[0] == "grade"
+            assert "pipeline.run" in names
+
 
 class TestBenignMutants:
     """Regression tests for the residual hint-coverage misses.

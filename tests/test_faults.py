@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.pipeline import QrHint
-from repro.obs import REGISTRY, snapshot_delta
+from repro.obs import REGISTRY
 from repro.service import (
     AssignmentSession,
     GradeError,
@@ -213,11 +213,16 @@ class TestStageDegradation:
     def test_expiry_at_each_stage(self, beers_catalog, stage):
         exact = QrHint(beers_catalog, SPJA_TARGET, SPJA_WRONG).run()
         assert [s.stage for s in exact.stages] == list(SPJA_STAGES)
-        before = REGISTRY.snapshot()
+        stage_seconds = REGISTRY.get("repro_stage_seconds")
+
+        def observations():
+            return {s: stage_seconds.count(stage=s) for s in SPJA_STAGES}
+
+        before = observations()
         report = QrHint(
             beers_catalog, SPJA_TARGET, SPJA_WRONG, deadline=_ExpiresAt(stage)
         ).run()
-        delta = snapshot_delta(before, REGISTRY.snapshot())
+        after = observations()
 
         reached = SPJA_STAGES[:SPJA_STAGES.index(stage) + 1]
         assert report.degraded and report.degraded_stage == stage
@@ -226,11 +231,8 @@ class TestStageDegradation:
             assert (got.passed, got.hints) == (want.passed, want.hints)
         last = report.stages[-1]
         assert [hint.kind for hint in last.hints] == ["degraded"]
-        observed = {
-            labels[0]: sum(counts)
-            for labels, (counts, _) in delta["repro_stage_seconds"]["values"]
-        }
-        assert observed == dict.fromkeys(reached, 1)
+        observed = {s: after[s] - before[s] for s in SPJA_STAGES}
+        assert observed == {s: int(s in reached) for s in SPJA_STAGES}
         # The stage that ran out of time records the time it spent.
         assert last.elapsed > 0
 
@@ -461,6 +463,23 @@ class TestWorkerRecovery:
         assert batch.recoveries["crashes"] >= 1
         assert batch.recoveries["retried_ok"] >= 1
         assert batch.recoveries["gave_up"] == 0
+
+    def test_retried_pipeline_error_counts_as_retried_ok(self, beers_catalog):
+        # A leftover form whose isolated retry came back from a worker is
+        # recovered even when its outcome is a pipeline error: only forms
+        # that run out of retries count as gave_up.
+        FAULTS.activate("batch.worker", mode="exit", n=2)
+        unrepairable = [
+            f"SELECT beer FROM Serves WHERE price < {i} OR bar = 'x'"
+            for i in range(4)
+        ]
+        batch = grade_batch(
+            beers_catalog, TARGET, unrepairable, processes=2, max_sites=0
+        )
+        assert batch.recoveries["crashes"] >= 1
+        assert batch.recoveries["retried_ok"] >= 1
+        assert batch.recoveries["gave_up"] == 0
+        assert {r.kind for r in batch.results} == {"RepairError"}
 
     def test_persistently_crashing_form_becomes_grade_error(
         self, beers_catalog

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.catalog import Catalog
-from repro.obs import TRACER, MetricsRegistry, log_buckets, snapshot_delta
+from repro.obs import TRACER, MetricsRegistry, log_buckets
 from repro.obs.export import parse_prometheus_text, service_metric_families
 from repro.obs.metrics import render_families
 from repro.obs.trace import _NULL_SPAN
@@ -109,33 +109,6 @@ class TestTracer:
         assert seen["span"] is _NULL_SPAN
         assert not TRACER.enabled
 
-    def test_adopt_reparents_and_rebases(self):
-        with TRACER.trace("worker-side") as worker:
-            with TRACER.span("work"):
-                pass
-        serialized = worker.to_dict()
-        with TRACER.trace("parent") as parent:
-            with TRACER.span("dispatch"):
-                adopted = TRACER.adopt(serialized)
-        assert adopted == 2
-        d = parent.to_dict()
-        by_name = {s["name"]: s for s in d["spans"]}
-        # foreign root hangs off the open span at adoption time
-        assert by_name["worker-side"]["parent"] == by_name["dispatch"]["id"]
-        assert by_name["work"]["parent"] == by_name["worker-side"]["id"]
-        # durations survive re-basing exactly
-        assert by_name["work"]["duration_ms"] == pytest.approx(
-            {s["name"]: s for s in serialized["spans"]}["work"][
-                "duration_ms"
-            ],
-            abs=1e-3,
-        )
-
-    def test_adopt_without_active_trace_is_noop(self):
-        with TRACER.trace("t") as handle:
-            pass
-        assert TRACER.adopt(handle.to_dict()) == 0
-
     def test_render_indents_by_depth(self):
         with TRACER.trace("a") as handle:
             with TRACER.span("b"):
@@ -197,42 +170,6 @@ class TestMetrics:
         h.observe(50.0)
         assert h.count() == 1
         assert h.quantile(0.5) == 1.0  # capped at the top finite bound
-
-    def test_snapshot_merge_roundtrip(self):
-        reg = MetricsRegistry()
-        c = reg.counter("ops_total", "ops", ("op",))
-        g = reg.gauge("level", "level")
-        h = reg.histogram("dur_seconds", "dur", buckets=(0.1, 1.0))
-        c.inc(3, op="read")
-        g.set(7)
-        h.observe(0.05)
-        h.observe(5.0)
-        snap = reg.snapshot()
-        json.dumps(snap)  # JSON-safe
-
-        other = MetricsRegistry()
-        other.merge(snap)
-        other.merge(snap)  # counters/histograms add, gauges overwrite
-        assert other.get("ops_total").value(op="read") == 6
-        assert other.get("level").value() == 7
-        assert other.get("dur_seconds").count() == 4
-
-    def test_snapshot_delta(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n_total", "n")
-        h = reg.histogram("d_seconds", "d", buckets=(1.0,))
-        c.inc(5)
-        h.observe(0.5)
-        before = reg.snapshot()
-        c.inc(2)
-        h.observe(0.7)
-        delta = snapshot_delta(before, reg.snapshot())
-        fresh = MetricsRegistry()
-        fresh.merge(delta)
-        assert fresh.get("n_total").value() == 2
-        assert fresh.get("d_seconds").count() == 1
-        # nothing changed -> empty delta
-        assert snapshot_delta(reg.snapshot(), reg.snapshot()) == {}
 
     def test_render_parses_as_prometheus_text(self):
         reg = MetricsRegistry()
@@ -391,149 +328,6 @@ class TestTracedGrading:
 
 
 # ---------------------------------------------------------------------------
-# Adopt edge cases
-
-
-class TestAdoptEdgeCases:
-    def test_empty_payloads_adopt_zero_spans(self):
-        with TRACER.trace("parent") as parent:
-            assert TRACER.adopt({}) == 0
-            assert TRACER.adopt(None) == 0
-            assert TRACER.adopt({"wall_start": None, "spans": []}) == 0
-            assert TRACER.adopt({"spans": None}) == 0
-        # The parent trace survives uncorrupted.
-        d = parent.to_dict()
-        assert [s["name"] for s in d["spans"]] == ["parent"]
-
-    def test_worker_started_before_parent_clamps_offset(self):
-        # A worker whose wall clock reads *earlier* than the parent's
-        # trace start (clock skew, or a long-lived worker pool) must not
-        # push spans to negative start times.
-        with TRACER.trace("worker-side") as worker:
-            with TRACER.span("work"):
-                pass
-        serialized = worker.to_dict()
-        serialized["wall_start"] = 0.0  # epoch: long before the parent
-        with TRACER.trace("parent") as parent:
-            assert TRACER.adopt(serialized) == 2
-        adopted = [s for s in parent.to_dict()["spans"]
-                   if s["name"] in ("worker-side", "work")]
-        assert len(adopted) == 2
-        for span in adopted:
-            assert span["start_ms"] >= 0.0
-            assert span["duration_ms"] >= 0.0
-
-    def test_missing_wall_start_rebases_to_parent_zero(self):
-        with TRACER.trace("worker-side") as worker:
-            with TRACER.span("work"):
-                pass
-        serialized = worker.to_dict()
-        serialized.pop("wall_start", None)
-        with TRACER.trace("parent") as parent:
-            assert TRACER.adopt(serialized) == 2
-        by_name = {s["name"]: s for s in parent.to_dict()["spans"]}
-        assert by_name["work"]["parent"] == by_name["worker-side"]["id"]
-        assert by_name["work"]["start_ms"] >= 0.0
-
-    def test_negative_span_fields_clamped(self):
-        with TRACER.trace("worker-side") as worker:
-            with TRACER.span("work"):
-                pass
-        serialized = worker.to_dict()
-        for span in serialized["spans"]:
-            span["start_ms"] = -5.0
-            span["duration_ms"] = None
-        with TRACER.trace("parent") as parent:
-            TRACER.adopt(serialized)
-        adopted = [s for s in parent.to_dict()["spans"]
-                   if s["name"] in ("worker-side", "work")]
-        for span in adopted:
-            assert span["start_ms"] >= 0.0
-            assert span["duration_ms"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Registry merge under concurrent workers
-
-
-class TestConcurrentMerge:
-    def test_three_worker_deltas_merge_consistently(self):
-        from repro.obs import MetricsRegistry
-
-        parent = MetricsRegistry()
-        parent.histogram("repro_grade_seconds", "grade latency", ("cached",))
-        parent.counter("repro_grades_total", "grades", ("cached",))
-        observations = {0: [0.001, 0.5, 2.0], 1: [0.002, 0.25], 2: [4.0]}
-
-        def worker(worker_id):
-            registry = MetricsRegistry()
-            before = registry.snapshot()
-            hist = registry.histogram(
-                "repro_grade_seconds", "grade latency", ("cached",)
-            )
-            count = registry.counter(
-                "repro_grades_total", "grades", ("cached",)
-            )
-            for value in observations[worker_id]:
-                hist.observe(value, cached="false")
-                count.inc(cached="false")
-            return snapshot_delta(before, registry.snapshot())
-
-        deltas = [worker(i) for i in range(3)]
-        threads = [
-            threading.Thread(target=parent.merge, args=(delta,))
-            for delta in deltas
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        total = sum(len(v) for v in observations.values())
-        snap = parent.snapshot()
-        (hist_series,) = snap["repro_grade_seconds"]["values"]
-        (counter_series,) = snap["repro_grades_total"]["values"]
-        assert counter_series[0] == ["false"] and counter_series[1] == total
-        bucket_counts, observed_sum = hist_series[1]
-        # Every worker observation landed in exactly one bucket, and the
-        # merged sum is the exact sum of all worker observations.
-        assert sum(bucket_counts) == total
-        assert observed_sum == pytest.approx(
-            sum(sum(v) for v in observations.values())
-        )
-        # Bucket counts are cumulative-consistent: monotone after a
-        # cumulative sweep, and the +Inf bucket equals _count.
-        families = parse_prometheus_text(parent.render())
-        assert families["repro_grade_seconds"]["kind"] == "histogram"
-
-    def test_merged_batch_worker_deltas_are_count_consistent(self):
-        # End to end: a multiprocess batch merges real worker deltas into
-        # the parent registry.  Each of the 3 unique forms runs the
-        # pipeline once in some worker, so the merged stage-latency
-        # histogram must gain exactly 3 observations per executed stage
-        # -- sum-of-buckets (which includes +Inf) agreeing with _count.
-        from repro.obs import REGISTRY
-
-        subs = [
-            WRONG,
-            "SELECT beer FROM Serves WHERE price < 2",
-            "SELECT bar FROM Serves WHERE price > 99",
-        ]
-        before = REGISTRY.snapshot()
-        grade_batch(catalog(), TARGET, subs, processes=3)
-        delta = snapshot_delta(before, REGISTRY.snapshot())
-        stage_series = delta["repro_stage_seconds"]["values"]
-        assert stage_series, "no merged stage observations"
-        by_stage = {tuple(labels): value for labels, value in stage_series}
-        for labels, (bucket_counts, observed_sum) in by_stage.items():
-            assert sum(bucket_counts) == 3, labels
-            assert observed_sum >= 0.0
-        # Every SPJ stage the pipeline executed is represented.
-        stages = {labels[0] for labels in by_stage}
-        assert {"FROM", "WHERE", "SELECT"} <= stages
-
-
-# ---------------------------------------------------------------------------
 # Solver-effort attribution
 
 
@@ -662,6 +456,27 @@ class TestEffortAttribution:
         assert efforts[0] == efforts[1]
         assert efforts[0]["sat_calls"] >= 1
         assert efforts[2]["sat_calls"] >= 1
+
+    def test_batch_paths_agree_on_effort_with_witnesses(self):
+        # Both paths grade each unique form and generate its witness in
+        # the same measured window, so they report the same work.
+        from repro.workloads import dblp, userstudy
+
+        q4 = next(q for q in dblp.QUESTIONS if q.qid == "Q4")
+        pool = userstudy.submission_pool(q4, count=24, seed=3)
+        serial, pooled = (
+            grade_batch(
+                dblp.catalog(), q4.correct_sql, pool,
+                processes=processes, witness=True, effort=True,
+            )
+            for processes in (1, 2)
+        )
+        assert pooled.processes == 2
+        assert [r.effort for r in serial.results] == [
+            r.effort for r in pooled.results
+        ]
+        assert serial.solver_stats == pooled.solver_stats
+        assert any(r.witness is not None for r in serial.results)
 
     def test_batch_without_effort_leaves_field_none(self):
         batch = grade_batch(catalog(), TARGET, [WRONG], processes=1)

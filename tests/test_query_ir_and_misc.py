@@ -1,57 +1,12 @@
-"""Tests for the query IR, normal forms, hints, and failure-injection paths."""
+"""Tests for the query IR, hints, and failure-injection paths."""
 
 import pytest
 
 from repro.errors import SolverLimitError
-from repro.logic.forms import to_dnf, to_nnf
-from repro.logic.formulas import And, Comparison, FALSE, Not, Or, TRUE, conj, disj, neg
+from repro.logic.formulas import Comparison, conj, disj
 from repro.logic.terms import const, intvar
-from repro.query import FromEntry, ResolvedQuery
+from repro.query import FromEntry
 from repro.sqlparser import parse_query
-
-A = Comparison("=", intvar("a"), const(1))
-B = Comparison("<", intvar("b"), const(2))
-C = Comparison(">", intvar("c"), const(3))
-
-
-class TestNormalForms:
-    def test_nnf_pushes_negation_to_atoms(self):
-        formula = Not(And((A, Or((B, C)))))
-        nnf = to_nnf(formula)
-        assert not any(isinstance(node, Not) for node in _nodes(nnf))
-
-    def test_nnf_folds_atoms(self):
-        assert to_nnf(Not(A)) == A.negated()
-
-    def test_nnf_constants(self):
-        assert to_nnf(Not(TRUE)) == FALSE
-
-    def test_dnf_structure(self):
-        formula = conj(disj(A, B), C)
-        dnf = to_dnf(formula)
-        assert isinstance(dnf, Or)
-        for clause in dnf.operands:
-            assert not isinstance(clause, Or)
-
-    def test_dnf_preserves_semantics(self, solver):
-        formula = conj(disj(A, B), disj(C, neg(A)))
-        assert solver.is_equiv(formula, to_dnf(formula))
-
-    def test_dnf_blowup_guarded(self):
-        big = conj(
-            *(disj(Comparison("=", intvar(f"x{i}"), const(0)),
-                   Comparison("=", intvar(f"y{i}"), const(0)))
-              for i in range(15))
-        )
-        with pytest.raises(ValueError):
-            to_dnf(big, max_clauses=100)
-
-
-def _nodes(formula):
-    out = [formula]
-    for child in formula.children():
-        out.extend(_nodes(child))
-    return out
 
 
 class TestResolvedQueryIR:

@@ -623,6 +623,36 @@ class TestCliSubcommands:
         assert payload["results"][0]["stages"]
         assert payload["results"][2]["kind"] == "ParseError"
 
+    def test_grade_batch_reports_failure_detail(
+        self, schema_file, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        subs = tmp_path / "subs.json"
+        subs.write_text(json.dumps(
+            ["SELECT beer FROM Serves WHERE price < 1 OR bar = 'x'"]
+        ))
+        out_path = tmp_path / "out.json"
+        code = main(
+            [
+                "grade-batch",
+                "--schema", schema_file,
+                "--target-sql", "SELECT beer FROM Serves WHERE price > 2",
+                "--submissions", str(subs),
+                "--processes", "1",
+                "--max-sites", "0",
+                "--show-hints",
+                "--json", str(out_path),
+            ]
+        )
+        assert code == 0
+        (failure,) = json.loads(out_path.read_text())["results"]
+        assert failure["kind"] == "RepairError"
+        assert failure["detail"].startswith('File "')
+        out = capsys.readouterr().out
+        assert f"error: RepairError: {failure['error']}" in out
+        assert f"  {failure['detail']}" in out
+
     def test_grade_batch_bad_submissions_file_exits_2(
         self, schema_file, tmp_path, capsys
     ):
