@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -433,8 +434,11 @@ def cmd_hint(args):
         )
         deadline = None
         if args.timeout_ms is not None:
-            if args.timeout_ms <= 0:
-                print("error: --timeout-ms must be positive", file=sys.stderr)
+            if not 0 < args.timeout_ms < math.inf:
+                print(
+                    "error: --timeout-ms must be positive and finite",
+                    file=sys.stderr,
+                )
                 return EXIT_ERROR
             from repro.service.deadline import Deadline
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.logic.formulas import TRUE, conj
+from repro.logic.formulas import TRUE, map_atoms, simplify
 from repro.logic.terms import Const
 from repro.query import FromEntry
 
@@ -91,27 +91,11 @@ def _remove_one_alias(query, table):
     alias = min(candidates, key=lambda a: _reference_count(query, a))
     prefix = alias + "."
 
-    def scrub_formula(formula):
-        from repro.logic.formulas import And, BoolConst, Comparison, Not, Or, disj, neg
-
-        if isinstance(formula, BoolConst):
-            return formula
-        if isinstance(formula, Comparison):
-            refs = any(
-                v.name.startswith(prefix)
-                for v in formula.left.variables() | formula.right.variables()
-            )
-            return TRUE if refs else formula
-        if isinstance(formula, Not):
-            return neg(scrub_formula(formula.child))
-        if isinstance(formula, And):
-            return conj(*(scrub_formula(c) for c in formula.operands))
-        if isinstance(formula, Or):
-            return disj(*(scrub_formula(c) for c in formula.operands))
-        raise TypeError(f"unexpected formula {formula!r}")
-
     def term_refs(term):
         return any(v.name.startswith(prefix) for v in term.variables())
+
+    def scrub_atom(atom):
+        return TRUE if term_refs(atom.left) or term_refs(atom.right) else atom
 
     new_select = tuple(
         Const.of(0) if term_refs(t) else t for t in query.select
@@ -119,8 +103,8 @@ def _remove_one_alias(query, table):
     return replace(
         query,
         from_entries=tuple(e for e in query.from_entries if e.alias != alias),
-        where=scrub_formula(query.where),
+        where=simplify(map_atoms(query.where, scrub_atom)),
         group_by=tuple(t for t in query.group_by if not term_refs(t)),
-        having=scrub_formula(query.having),
+        having=simplify(map_atoms(query.having, scrub_atom)),
         select=new_select,
     )

@@ -198,7 +198,4 @@ def unify_target(target, working, catalog):
     same alias namespace and their formulas are directly comparable.
     """
     mapping = find_table_mapping(target, working, catalog)
-    # Collision-free simultaneous rename via a temporary namespace.
-    temp = {alias: f"τ{i}${alias}" for i, alias in enumerate(mapping)}
-    final = {temp[alias]: mapping[alias] for alias in mapping}
-    return target.rename_aliases(temp).rename_aliases(final), mapping
+    return target.rename_aliases(mapping), mapping

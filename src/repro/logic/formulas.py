@@ -148,6 +148,10 @@ class Comparison(Formula):
             return self
         return Comparison(FLIPPED_OP[self.op], self.right, self.left)
 
+    def map_sides(self, fn):
+        """The same comparison over ``fn(left)`` and ``fn(right)``."""
+        return Comparison(self.op, fn(self.left), fn(self.right))
+
     def __str__(self):
         return f"{self.left} {self.op} {self.right}"
 
@@ -268,6 +272,32 @@ def neg(formula):
     if isinstance(formula, Comparison):
         return formula.negated()
     return Not(formula)
+
+
+def map_atoms(formula, fn):
+    """Replace each :class:`Comparison` by ``fn(atom)``, keeping the shape.
+
+    AND/OR/NOT nodes are rebuilt node for node, without flattening, so a
+    repair-site path into ``formula`` addresses the same node in the result.
+    """
+    if isinstance(formula, Comparison):
+        return fn(formula)
+    if isinstance(formula, Not):
+        return Not(map_atoms(formula.child, fn))
+    if isinstance(formula, _NaryOp):
+        return type(formula)(tuple(map_atoms(c, fn) for c in formula.operands))
+    return formula
+
+
+def simplify(formula):
+    """Rebuild ``formula`` bottom-up through ``conj``, ``disj`` and ``neg``."""
+    if isinstance(formula, Not):
+        return neg(simplify(formula.child))
+    if isinstance(formula, And):
+        return conj(*(simplify(c) for c in formula.operands))
+    if isinstance(formula, Or):
+        return disj(*(simplify(c) for c in formula.operands))
+    return formula
 
 
 def implies(antecedent, consequent):

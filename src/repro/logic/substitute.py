@@ -1,18 +1,14 @@
-"""Substitution and renaming over terms and formulas."""
+"""Variable substitution over terms and formulas, on the shared maps.
+
+:func:`substitute` returns a flattened formula (it rebuilds through
+``simplify``); the shape-preserving alias renamer is
+:meth:`repro.query.ResolvedQuery.rename_aliases`.
+"""
 
 from __future__ import annotations
 
-from repro.logic.formulas import (
-    And,
-    BoolConst,
-    Comparison,
-    Not,
-    Or,
-    conj,
-    disj,
-    neg,
-)
-from repro.logic.terms import AggCall, Arith, Neg, Term, Var
+from repro.logic.formulas import map_atoms, simplify
+from repro.logic.terms import Term, Var, map_term
 
 
 def substitute_term(term, mapping):
@@ -21,54 +17,29 @@ def substitute_term(term, mapping):
     Substitution descends into aggregate arguments as well, which is what
     table-alias unification (Section 4) requires.
     """
-    if isinstance(term, Var):
-        return mapping.get(term, term)
-    if isinstance(term, Arith):
-        return Arith(
-            term.op,
-            substitute_term(term.left, mapping),
-            substitute_term(term.right, mapping),
-        )
-    if isinstance(term, Neg):
-        return Neg(substitute_term(term.child, mapping))
-    if isinstance(term, AggCall):
-        if term.arg is None:
-            return term
-        return AggCall(term.func, substitute_term(term.arg, mapping), term.distinct)
-    return term
+
+    def replace_var(node):
+        return mapping.get(node, node) if isinstance(node, Var) else node
+
+    return map_term(term, replace_var)
 
 
 def substitute(formula, mapping):
     """Replace variables in ``formula`` per ``mapping`` ({Var: Term})."""
-    if isinstance(formula, BoolConst):
-        return formula
-    if isinstance(formula, Comparison):
-        return Comparison(
-            formula.op,
-            substitute_term(formula.left, mapping),
-            substitute_term(formula.right, mapping),
-        )
-    if isinstance(formula, Not):
-        return neg(substitute(formula.child, mapping))
-    if isinstance(formula, And):
-        return conj(*(substitute(c, mapping) for c in formula.operands))
-    if isinstance(formula, Or):
-        return disj(*(substitute(c, mapping) for c in formula.operands))
-    raise TypeError(f"not a formula: {formula!r}")
+
+    def replace_atom(atom):
+        return atom.map_sides(lambda side: substitute_term(side, mapping))
+
+    return simplify(map_atoms(formula, replace_atom))
 
 
 def rename_variables(obj, rename):
     """Rename variables via a name->name mapping, preserving types."""
-    if isinstance(obj, Term):
-        mapping = {
-            v: Var(rename[v.name], v.vtype)
-            for v in obj.variables()
-            if v.name in rename
-        }
-        return substitute_term(obj, mapping)
     mapping = {
         v: Var(rename[v.name], v.vtype) for v in obj.variables() if v.name in rename
     }
+    if isinstance(obj, Term):
+        return substitute_term(obj, mapping)
     return substitute(obj, mapping)
 
 

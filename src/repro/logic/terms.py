@@ -205,6 +205,22 @@ class AggCall(Term):
         return f"{self.func}({inner})"
 
 
+def map_term(term, fn):
+    """Rebuild ``term`` bottom-up, replacing each node ``n`` by ``fn(n)``.
+
+    Sub-terms, aggregate arguments included, are mapped before the node
+    that holds them, so ``fn`` sees each node with its children already
+    rewritten; what ``fn`` returns is not traversed again.
+    """
+    if isinstance(term, Arith):
+        term = Arith(term.op, map_term(term.left, fn), map_term(term.right, fn))
+    elif isinstance(term, Neg):
+        term = Neg(map_term(term.child, fn))
+    elif isinstance(term, AggCall) and term.arg is not None:
+        term = AggCall(term.func, map_term(term.arg, fn), term.distinct)
+    return fn(term)
+
+
 def add(left, right):
     return Arith("+", left, right)
 

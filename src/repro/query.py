@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from repro.logic.formulas import Formula, TRUE
-from repro.logic.substitute import rename_variables
-from repro.logic.terms import Term
+from repro.logic.formulas import TRUE, Formula, map_atoms
+from repro.logic.terms import Term, Var, map_term
 
 
 @dataclass(frozen=True)
@@ -78,26 +77,36 @@ class ResolvedQuery:
     def rename_aliases(self, mapping):
         """Rename FROM aliases and all ``alias.column`` variable references.
 
-        ``mapping`` maps old alias -> new alias.  Used to unify the target
-        query with the working query under a table mapping (Definition 1).
+        ``mapping`` maps old alias -> new alias.  Renaming is simultaneous
+        (``{"a": "b", "b": "a"}`` swaps) and keeps the AND/OR/NOT tree shape,
+        so the inverse mapping restores an equal query.  Used to unify the
+        target with the working query under a table mapping (Definition 1)
+        and to map submissions to and from their canonical form.
         """
-        new_entries = tuple(
-            FromEntry(e.table, mapping.get(e.alias, e.alias))
-            for e in self.from_entries
-        )
-        var_rename = {}
-        for obj in [self.where, self.having, *self.group_by, *self.select]:
-            for var in obj.variables():
-                alias, _, column = var.name.partition(".")
+
+        def rename_var(node):
+            if isinstance(node, Var):
+                alias, _, column = node.name.partition(".")
                 if alias in mapping:
-                    var_rename[var.name] = f"{mapping[alias]}.{column}"
+                    return Var(f"{mapping[alias]}.{column}", node.vtype)
+            return node
+
+        def rename_term(term):
+            return map_term(term, rename_var)
+
+        def rename_atom(atom):
+            return atom.map_sides(rename_term)
+
         return replace(
             self,
-            from_entries=new_entries,
-            where=rename_variables(self.where, var_rename),
-            group_by=tuple(rename_variables(t, var_rename) for t in self.group_by),
-            having=rename_variables(self.having, var_rename),
-            select=tuple(rename_variables(t, var_rename) for t in self.select),
+            from_entries=tuple(
+                FromEntry(e.table, mapping.get(e.alias, e.alias))
+                for e in self.from_entries
+            ),
+            where=map_atoms(self.where, rename_atom),
+            group_by=tuple(map(rename_term, self.group_by)),
+            having=map_atoms(self.having, rename_atom),
+            select=tuple(map(rename_term, self.select)),
         )
 
     # -- rendering --------------------------------------------------------

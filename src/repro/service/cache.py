@@ -21,67 +21,13 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 
-from repro.logic.formulas import And, BoolConst, Comparison, Not, Or
-from repro.logic.substitute import substitute_term
-from repro.logic.terms import Var
 from repro.obs import JOURNAL, TRACER
-from repro.query import FromEntry
 
 #: Prefix for canonical alias names.  Deliberately not a legal student
 #: alias style (leading underscore) so remapping back to the submitter's
 #: aliases can use plain word-boundary matching on hint text.
 CANON_ALIAS_PREFIX = "_s"
-
-
-def _rename_formula(formula, var_mapping):
-    """Structure-preserving variable rename (no And/Or flattening).
-
-    :func:`repro.logic.substitute.substitute` rebuilds formulas through the
-    ``conj``/``disj`` smart constructors, which flatten nested connectives.
-    Cache canonicalization must be an *exact* inverse-renamable image of
-    the submission -- the pipeline's repaired output is rendered back to
-    the submitter -- so the tree shape is preserved node for node.
-    """
-    if isinstance(formula, BoolConst):
-        return formula
-    if isinstance(formula, Comparison):
-        return Comparison(
-            formula.op,
-            substitute_term(formula.left, var_mapping),
-            substitute_term(formula.right, var_mapping),
-        )
-    if isinstance(formula, Not):
-        return Not(_rename_formula(formula.child, var_mapping))
-    if isinstance(formula, (And, Or)):
-        return type(formula)(
-            tuple(_rename_formula(c, var_mapping) for c in formula.operands)
-        )
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def rename_query_aliases(query, mapping):
-    """Like :meth:`ResolvedQuery.rename_aliases`, but structure-preserving."""
-    var_mapping = {}
-    for obj in [query.where, query.having, *query.group_by, *query.select]:
-        for var in obj.variables():
-            alias, _, column = var.name.partition(".")
-            if alias in mapping:
-                var_mapping[var] = Var(f"{mapping[alias]}.{column}", var.vtype)
-    return replace(
-        query,
-        from_entries=tuple(
-            FromEntry(e.table, mapping.get(e.alias, e.alias))
-            for e in query.from_entries
-        ),
-        where=_rename_formula(query.where, var_mapping),
-        group_by=tuple(
-            substitute_term(t, var_mapping) for t in query.group_by
-        ),
-        having=_rename_formula(query.having, var_mapping),
-        select=tuple(substitute_term(t, var_mapping) for t in query.select),
-    )
 
 
 def canonicalize(query):
@@ -94,7 +40,7 @@ def canonicalize(query):
         entry.alias: f"{CANON_ALIAS_PREFIX}{i}"
         for i, entry in enumerate(query.from_entries)
     }
-    return rename_query_aliases(query, mapping), mapping
+    return query.rename_aliases(mapping), mapping
 
 
 def canonical_key(query):

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 import threading
 import time
@@ -483,7 +484,17 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _send_body(self, status, body, content_type, extra_headers=None):
-        """Single response exit point: writes the body, records metrics."""
+        """Single response exit point: writes the body, records metrics.
+
+        The status counters and ``http.error`` are recorded before the
+        body goes out, so a client that has read the response already
+        sees them; the latency and ``http.finish`` include the write.
+        """
+        route = getattr(self, "_route", "other")
+        _HTTP_REQUESTS.inc(route=route, status=str(status))
+        if status >= 400:
+            _HTTP_ERRORS.inc(route=route, status=str(status))
+            JOURNAL.record("http.error", route=route, status=status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -491,10 +502,6 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-        route = getattr(self, "_route", "other")
-        _HTTP_REQUESTS.inc(route=route, status=str(status))
-        if status >= 400:
-            _HTTP_ERRORS.inc(route=route, status=str(status))
         started = getattr(self, "_started", None)
         elapsed = (
             time.perf_counter() - started if started is not None else None
@@ -507,8 +514,6 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             status=status,
             ms=round(elapsed * 1000.0, 3) if elapsed is not None else None,
         )
-        if status >= 400:
-            JOURNAL.record("http.error", route=route, status=status)
 
     def _content_length(self):
         """Parse Content-Length, or None when absent.
@@ -611,14 +616,14 @@ class HintRequestHandler(BaseHTTPRequestHandler):
                 "error": str(error),
                 "kind": type(error).__name__,
             }
-        except Exception as error:  # pragma: no cover - defensive
+        except Exception as error:
             status, payload = 500, {"error": f"internal error: {error}"}
             # The flight recording explains the crash; dump it into the
             # server log next to where the traceback would land.
             JOURNAL.record(
                 "http.exception",
                 route=getattr(self, "_route", "other"),
-                kind=type(error).__name__,
+                exception=type(error).__name__,
                 error=str(error),
             )
             JOURNAL.dump(
@@ -743,8 +748,12 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         try:
             max_sites = int(payload.get("max_sites", 2))
             cache_size = int(payload.get("cache_size", 256))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError(400, "max_sites/cache_size must be integers")
+        if max_sites < 0:
+            raise ServiceError(400, "max_sites must be >= 0")
+        if cache_size < 1:
+            raise ServiceError(400, "cache_size must be >= 1")
         session = self.server.service.create_assignment(
             catalog,
             target_sql,
@@ -815,10 +824,12 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             return Deadline.after_ms(cap) if cap is not None else None
         try:
             timeout_ms = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError(400, "timeout_ms must be a number")
-        if timeout_ms <= 0:
-            raise ServiceError(400, "timeout_ms must be positive")
+        # NaN fails both comparisons: min(nan, cap) would be nan, a
+        # deadline that never expires.
+        if not 0 < timeout_ms < math.inf:
+            raise ServiceError(400, "timeout_ms must be positive and finite")
         if cap is not None:
             timeout_ms = min(timeout_ms, cap)
         return Deadline.after_ms(timeout_ms)

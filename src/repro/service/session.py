@@ -29,11 +29,7 @@ from repro.core.hints import Hint
 from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot
-from repro.service.cache import (
-    ArtifactCache,
-    canonicalize,
-    rename_query_aliases,
-)
+from repro.service.cache import ArtifactCache, canonicalize
 from repro.solver import Solver
 from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import (
@@ -405,9 +401,8 @@ class AssignmentSession:
             )
             for stage in report.stages
         )
-        final_query = rename_query_aliases(
-            report.final_query,
-            _disambiguate(inverse, report.final_query),
+        final_query = report.final_query.rename_aliases(
+            _disambiguate(inverse, report.final_query)
         )
         if witness_obj is not None:
             # Pinned-cell labels are in the canonical namespace; rewrite

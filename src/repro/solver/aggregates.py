@@ -21,10 +21,10 @@ examples (Examples 3, 10, 11) while remaining sound everywhere.
 from __future__ import annotations
 
 from repro.catalog import SqlType
-from repro.logic.formulas import Comparison
+from repro.logic.formulas import Comparison, map_atoms
 from repro.logic.linear import linexpr_to_term, try_linearize
 from repro.logic.substitute import substitute, substitute_term
-from repro.logic.terms import AggCall, Arith, Const, Neg, Var
+from repro.logic.terms import AggCall, Arith, Const, Neg, Var, map_term
 
 
 def normalize_aggregate(agg):
@@ -130,27 +130,18 @@ def scalarize_term(term):
     """
     collected = set()
 
-    def walk(node):
-        if isinstance(node, AggCall):
-            normalized = normalize_aggregate(node)
-            return replace_aggs(normalized)
-        if isinstance(node, Arith):
-            return Arith(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Neg):
-            return Neg(walk(node.child))
-        return node
-
-    def replace_aggs(node):
+    def to_scalar_var(node):
         if isinstance(node, AggCall):
             collected.add(node)
             return agg_scalar_var(node)
-        if isinstance(node, Arith):
-            return Arith(node.op, replace_aggs(node.left), replace_aggs(node.right))
-        if isinstance(node, Neg):
-            return Neg(replace_aggs(node.child))
         return node
 
-    return walk(term), collected
+    def scalarize(node):
+        if isinstance(node, AggCall):
+            return map_term(normalize_aggregate(node), to_scalar_var)
+        return node
+
+    return map_term(term, scalarize), collected
 
 
 def scalarize_formula(formula):
@@ -159,25 +150,15 @@ def scalarize_formula(formula):
     Preserves the AND/OR/NOT tree shape so repair-site paths carry over to
     the original HAVING syntax tree.  Returns (formula, aggregates).
     """
-    from repro.logic.formulas import And, BoolConst, Not, Or
-
     collected = set()
 
-    def walk(node):
-        if isinstance(node, BoolConst):
-            return node
-        if isinstance(node, Comparison):
-            left, aggs_l = scalarize_term(node.left)
-            right, aggs_r = scalarize_term(node.right)
-            collected.update(aggs_l, aggs_r)
-            return Comparison(node.op, left, right)
-        if isinstance(node, Not):
-            return Not(walk(node.child))
-        if isinstance(node, (And, Or)):
-            return type(node)(tuple(walk(c) for c in node.operands))
-        raise TypeError(f"unexpected node {node!r}")
+    def scalarize_side(term):
+        scalar, aggregates = scalarize_term(term)
+        collected.update(aggregates)
+        return scalar
 
-    return walk(formula), collected
+    scalar = map_atoms(formula, lambda atom: atom.map_sides(scalarize_side))
+    return scalar, collected
 
 
 class HavingContext:

@@ -21,17 +21,14 @@ model; those fall through to the guided differential search in
 
 from __future__ import annotations
 
-from repro.logic.formulas import (
-    And,
-    BoolConst,
-    Comparison,
-    Not,
-    Or,
-    conj,
-    disj,
-    neg,
-)
-from repro.logic.terms import AggCall, Arith, Const, Neg
+from repro.logic.formulas import Comparison, conj, disj, map_atoms, neg
+from repro.logic.terms import AggCall, Const, map_term
+
+
+def _single_row_node(node):
+    if isinstance(node, AggCall):
+        return Const.of(1) if node.func == "COUNT" else node.arg
+    return node
 
 
 def single_row_term(term):
@@ -40,39 +37,15 @@ def single_row_term(term):
     ``COUNT`` of anything is 1; ``SUM``/``AVG``/``MIN``/``MAX`` equal
     their argument evaluated at the single row.
     """
-    if isinstance(term, AggCall):
-        if term.func == "COUNT":
-            return Const.of(1)
-        return single_row_term(term.arg)
-    if isinstance(term, Arith):
-        return Arith(term.op, single_row_term(term.left), single_row_term(term.right))
-    if isinstance(term, Neg):
-        return Neg(single_row_term(term.child))
-    return term
-
-
-def single_row_formula(formula):
-    """Apply :func:`single_row_term` to both sides of every atom."""
-    if isinstance(formula, BoolConst):
-        return formula
-    if isinstance(formula, Comparison):
-        return Comparison(
-            formula.op,
-            single_row_term(formula.left),
-            single_row_term(formula.right),
-        )
-    if isinstance(formula, Not):
-        return Not(single_row_formula(formula.child))
-    if isinstance(formula, (And, Or)):
-        return type(formula)(
-            tuple(single_row_formula(c) for c in formula.operands)
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+    return map_term(term, _single_row_node)
 
 
 def emits_single_row(query):
     """The condition under which a lone cross-product row reaches SELECT."""
-    return conj(query.where, single_row_formula(query.having))
+    having = map_atoms(
+        query.having, lambda atom: atom.map_sides(single_row_term)
+    )
+    return conj(query.where, having)
 
 
 def divergence_formula(working, target):

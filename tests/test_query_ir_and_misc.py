@@ -1,9 +1,11 @@
 """Tests for the query IR, hints, and failure-injection paths."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SolverLimitError
-from repro.logic.formulas import Comparison, conj, disj
+from repro.logic.formulas import And, Comparison, Not, conj, disj
 from repro.logic.terms import const, intvar
 from repro.query import FromEntry
 from repro.sqlparser import parse_query
@@ -41,6 +43,22 @@ class TestResolvedQueryIR:
         assert names == {"srv.price"}
         assert renamed.group_by[0].name == "srv.beer"
         assert renamed.select[0].name == "srv.beer"
+
+    def test_rename_aliases_keeps_tree_shape_and_swaps(self, beers_catalog):
+        query = parse_query(
+            "SELECT a.beer FROM Serves a, Serves b "
+            "WHERE a.price > 1 AND b.price < 2 AND a.bar = b.bar",
+            beers_catalog,
+        )
+        first, second, third = query.where.operands
+        # conj/neg would flatten the nested AND and fold the NOT into <>.
+        nested = replace(query, where=And((And((first, second)), Not(third))))
+        swapped = nested.rename_aliases({"a": "b", "b": "a"})
+        assert str(swapped.where) == (
+            "((b.price > 1 AND a.price < 2) AND NOT (b.bar = a.bar))"
+        )
+        assert swapped.aliases() == ["b", "a"]
+        assert swapped.rename_aliases({"a": "b", "b": "a"}) == nested
 
     def test_to_sql_round_trip(self, beers_catalog):
         query = parse_query(

@@ -84,10 +84,8 @@ class TestCanonicalization:
         query = parse_query_extended(sql, beers_catalog)
         canonical, mapping = canonicalize(query)
         assert mapping == {"v": "_s0"}
-        from repro.service.cache import rename_query_aliases
-
         inverse = {"_s0": "v"}
-        assert rename_query_aliases(canonical, inverse) == query
+        assert canonical.rename_aliases(inverse) == query
 
 
 class TestAssignmentSession:
@@ -383,6 +381,16 @@ class TestHttpServer:
         )
         assert status == 400
 
+    def test_out_of_range_cache_size_400(self, client):
+        for bad in (0, -1, float("inf")):
+            status, body = self._create(client, cache_size=bad)
+            assert status == 400 and "cache_size" in body["error"], bad
+
+    def test_out_of_range_max_sites_400(self, client):
+        for bad in (-1, float("inf")):
+            status, body = self._create(client, max_sites=bad)
+            assert status == 400 and "max_sites" in body["error"], bad
+
     def test_bad_json_400(self, client):
         request = urllib.request.Request(
             client.base + "/grade", b"not json", {"Content-Type": "application/json"}
@@ -560,6 +568,30 @@ class TestMetricsEndpoint:
             == _counter(before, "repro_http_errors_total", **key) + 1
         )
 
+    def test_unexpected_exception_is_500(self, client, monkeypatch):
+        from repro.obs import JOURNAL
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        _, created = self._create(client)
+        request = {"assignment_id": created["assignment_id"], "sql": WRONG}
+        client.post("/grade", request)  # gives every histogram a sample
+        before = _scrape(client)
+        monkeypatch.setattr(AssignmentSession, "grade", crash)
+        status, body = client.post("/grade", request)
+        assert (status, body) == (500, {"error": "internal error: boom"})
+        events = [e for e in JOURNAL.tail() if e["kind"] == "http.exception"]
+        assert {
+            key: events[-1][key] for key in ("route", "exception", "error")
+        } == {"route": "/grade", "exception": "RuntimeError", "error": "boom"}
+        after = _scrape(client)
+        key = {"route": "/grade", "status": "500"}
+        assert (
+            _counter(after, "repro_http_errors_total", **key)
+            == _counter(before, "repro_http_errors_total", **key) + 1
+        )
+
     def test_http_stats_block(self, client):
         client.get("/healthz")
         status, stats = client.get("/stats")
@@ -704,6 +736,21 @@ class TestCliSubcommands:
         )
         assert code == 2
         assert "invalid schema" in capsys.readouterr().err
+
+    def test_hint_non_finite_timeout_exits_2(self, schema_file, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "hint",
+                "--schema", schema_file,
+                "--target-sql", TARGET,
+                "--working-sql", WRONG,
+                "--timeout-ms", "nan",
+            ]
+        )
+        assert code == 2
+        assert "--timeout-ms" in capsys.readouterr().err
 
     def test_serve_preload_parse_error_exits_2(self, schema_file, capsys):
         from repro.cli import main

@@ -11,7 +11,7 @@ from repro.engine.database import Database
 from repro.engine.datagen import DataGenerator
 from repro.engine.executor import bag_equal, execute
 from repro.service import AssignmentSession, grade_batch
-from repro.service.cache import canonicalize, rename_query_aliases
+from repro.service.cache import canonicalize
 from repro.solver import Solver
 from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import (
@@ -243,7 +243,7 @@ class TestAliasRoundTrips:
         canonical, mapping = canonicalize(query)
         assert mapping == {"_s1": "_s0", "_s0": "_s1"}
         inverse = {canon: orig for orig, canon in mapping.items()}
-        assert rename_query_aliases(canonical, inverse) == query
+        assert canonical.rename_aliases(inverse) == query
 
     def test_swapped_canonical_aliases_roundtrip(self, beers_catalog):
         query = _parse(
@@ -253,7 +253,7 @@ class TestAliasRoundTrips:
         )
         canonical, mapping = canonicalize(query)
         inverse = {canon: orig for orig, canon in mapping.items()}
-        assert rename_query_aliases(canonical, inverse) == query
+        assert canonical.rename_aliases(inverse) == query
 
     def test_hints_rendered_in_submitter_namespace(self, beers_catalog):
         session = AssignmentSession(
