@@ -1,6 +1,7 @@
 """Observability smoke + overhead gate: tracing must be near-free off.
 
-Two halves, both CI-gated (the ``obs-smoke`` job)::
+Two halves, both CI-gated (``repro perfdiff --all`` in the
+``perf-sentinel`` job)::
 
     PYTHONPATH=src python benchmarks/bench_obs.py
 

@@ -8,43 +8,136 @@ tests can check stage-level equivalences (``F(Q) == F(Q*)``,
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from repro.logic.evaluate import eval_formula, eval_term
-from repro.logic.formulas import TRUE
+from repro.logic.formulas import TRUE, And, Comparison
+from repro.logic.terms import AggCall, Arith, Var
 
 
 def cross_product(query, database):
     """``F(Q)``: the bag of joined environments over the FROM tables.
 
     Each environment maps ``alias.column`` to a value.  Environments are
-    *streamed* (this is a generator): the cross product over k tables is
+    *streamed* (this is a generator) in ``itertools.product`` order, the
+    first FROM entry outermost: the cross product over k tables is
     |T1| x ... x |Tk| environments, and materializing it dominates memory
     on the TPC-H stress runs.  Only the per-table row lists are held.
     """
-    per_alias = []
-    for entry in query.from_entries:
-        rows = database.rows(entry.table)
-        alias_rows = [
-            {f"{entry.alias}.{col}": value for col, value in row.items()}
-            for row in rows
-        ]
-        per_alias.append(alias_rows)
-    for combo in itertools.product(*per_alias):
-        env = {}
-        for part in combo:
-            env.update(part)
-        yield env
+    return _walk(query, database, ())
 
 
 def filtered_rows(query, database):
-    """``FW(Q)``: cross product filtered by the WHERE condition (streamed)."""
-    return (
-        env
-        for env in cross_product(query, database)
-        if eval_formula(query.where, env)
-    )
+    """``FW(Q)``: cross product filtered by the WHERE condition (streamed).
+
+    The walk of :func:`cross_product` checks each top-level WHERE conjunct
+    at the first FROM position that binds all its variables, and skips
+    the whole subtree below a partial environment that fails one (System
+    R predicate placement).  Only the leading run of conjuncts that cannot
+    raise is placed early; see :func:`_placements` for why the result,
+    its order and its exceptions are exactly those of evaluating WHERE on
+    every complete environment.
+    """
+    where = query.where
+    conjuncts = where.operands if isinstance(where, And) else (where,)
+    return _walk(query, database, conjuncts)
+
+
+def _walk(query, database, conjuncts):
+    """Nested-loop walk over the FROM entries with ``conjuncts`` placed.
+
+    Level 0 is the empty combination, where variable-free conjuncts are
+    checked once; level i binds the i-th FROM entry.  Relies on every row
+    of a table having the table's columns, as :meth:`Database.set_table`
+    ensures.
+    """
+    levels = [[{}]]
+    bound_at = {}  # alias.column -> last level binding it
+    for position, entry in enumerate(query.from_entries, 1):
+        prefix = f"{entry.alias}."
+        rows = [
+            {prefix + column: value for column, value in row.items()}
+            for row in database.rows(entry.table)
+        ]
+        if not rows:
+            return  # an empty table empties the product
+        bound_at.update(dict.fromkeys(rows[0], position))
+        levels.append(rows)
+    checks = _placements(conjuncts, bound_at, len(levels))
+    yield from _descend(levels, checks, {}, 0)
+
+
+def _descend(levels, checks, env, depth):
+    """Bind each row of level ``depth`` in ``env`` and recurse past checks.
+
+    ``env`` is updated in place and copied for each complete environment
+    that passes.  A check at level d reads only columns bound at levels
+    <= d, so the stale columns of deeper levels are never read.
+    """
+    deeper = depth + 1 < len(levels)
+    level_checks = checks[depth]
+    for row in levels[depth]:
+        env.update(row)
+        for conjunct in level_checks:
+            if not eval_formula(conjunct, env):
+                break
+        else:
+            if deeper:
+                yield from _descend(levels, checks, env, depth + 1)
+            else:
+                yield dict(env)
+
+
+def _placements(conjuncts, bound_at, depth):
+    """The conjuncts to check at each of ``depth`` walk levels.
+
+    Conjuncts of the leading run that cannot raise are placed at the first
+    level binding all their variables; from the first one that can raise
+    on, every conjunct stays at the innermost level, in order.  That is
+    exact: evaluating WHERE on a complete environment runs its conjuncts
+    left to right and stops at the first false one.  A placed conjunct
+    that fails comes before any conjunct that can raise, so the full
+    evaluation would also have stopped without raising; on every
+    surviving environment the innermost level then runs the rest in the
+    original order, and raises exactly where the full evaluation would.
+    """
+    checks = [[] for _ in range(depth)]
+    for index, conjunct in enumerate(conjuncts):
+        level = _level(conjunct, bound_at)
+        if level is None:
+            checks[-1].extend(conjuncts[index:])
+            break
+        checks[level].append(conjunct)
+    return checks
+
+
+def _level(formula, bound_at):
+    """The first walk level binding every column ``formula`` reads.
+
+    None if evaluating ``formula`` can raise: it divides (perhaps by
+    zero), holds an aggregate, or reads a column that no FROM alias binds.
+    The resolver type-checks comparisons and arithmetic, so nothing else
+    in a resolved WHERE raises.  One pass over the tree, since a walk is
+    planned on every execution.
+    """
+    level = 0
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            position = bound_at.get(node.name)
+            if position is None:
+                return None
+            level = max(level, position)
+        elif isinstance(node, Comparison):
+            stack += (node.left, node.right)
+        elif isinstance(node, AggCall) or (
+            isinstance(node, Arith) and node.op == "/"
+        ):
+            return None
+        else:
+            stack += node.children()
+    return level
 
 
 def grouped_rows(query, database):

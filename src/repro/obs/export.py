@@ -7,7 +7,7 @@ hot paths keep their plain dict/int counters (public keys unchanged);
 only the exposition layer changes shape.
 
 :func:`parse_prometheus_text` is a strict-enough parser of text format
-0.0.4 used by the tests and the CI ``obs-smoke`` job to validate what
+0.0.4 used by the tests and ``benchmarks/bench_obs.py`` to validate what
 ``GET /metrics`` serves: sample syntax, TYPE declarations, histogram
 bucket monotonicity, the ``+Inf`` bucket, and ``_count`` consistency.
 """
@@ -78,7 +78,9 @@ def parse_prometheus_text(text):
     are ``(sample_name, labels_dict, value)`` tuples.  Raises
     :class:`ValueError` on malformed lines, samples without a TYPE
     declaration covering them, non-monotone histogram buckets, a missing
-    ``+Inf`` bucket, or ``_count`` disagreeing with the ``+Inf`` bucket.
+    ``+Inf`` bucket, ``_sum`` or ``_count`` samples without buckets, or
+    ``_count`` disagreeing with the ``+Inf`` bucket.  A declared histogram
+    with no samples yet (nothing observed) is valid, as in Prometheus.
     """
     families = {}
     types = {}
@@ -176,8 +178,8 @@ def _validate_histograms(families):
                 sums[key] = value
             elif sample_name == f"{name}_count":
                 counts[key] = value
-        if not series:
-            raise ValueError(f"{name}: histogram with no buckets")
+        if (sums.keys() | counts.keys()) - series.keys():
+            raise ValueError(f"{name}: _sum or _count without buckets")
         for key, buckets in series.items():
             bounds = [b for b, _ in buckets]
             if bounds != sorted(bounds):

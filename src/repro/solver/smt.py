@@ -63,6 +63,14 @@ _SAT_COUNTERS = (
 )
 
 
+def _remember(cache, key, value):
+    """Store ``value`` under ``key``; ``cache`` flushes at ``_CACHE_LIMIT``."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()  # bound long-lived service growth
+    cache[key] = value
+    return value
+
+
 def _block_literals(sat, atom_vars, literals):
     """Add the clause forbidding ``literals`` to the SAT core."""
     sat.add_clause([
@@ -114,6 +122,7 @@ class Solver:
         self.deadline = None
         self._sat_cache = {}
         self._theory_cache = {}
+        self._canonical_cache = {}
         self.stats = {
             "sat_calls": 0,
             "theory_calls": 0,
@@ -253,11 +262,7 @@ class Solver:
         if result is not _MISS:
             self.stats["cache_hits"] += 1
             return result
-        result = self._solve(conj(*context, formula))
-        if len(cache) >= _CACHE_LIMIT:
-            cache.clear()  # bound long-lived service growth
-        cache[key] = result
-        return result
+        return _remember(cache, key, self._solve(conj(*context, formula)))
 
     def _solve(self, formula):
         if not TRACER.enabled:  # keep the production path span-free
@@ -366,10 +371,7 @@ class Solver:
             verdict = cache.get(key, _MISS)
             if verdict is _MISS:
                 stats["theory_calls"] += 1
-                verdict = check_literals(part)
-                if len(cache) >= _CACHE_LIMIT:
-                    cache.clear()  # bound long-lived service growth
-                cache[key] = verdict
+                verdict = _remember(cache, key, check_literals(part))
             else:
                 stats["theory_cache_hits"] += 1
             if not verdict:
@@ -409,12 +411,18 @@ class Solver:
     def _abstract(self, formula, atom_vars, builder):
         """Build a Tseitin skeleton, abstracting atoms to variables.
 
-        Returns the skeleton, or a bool if the formula is constant.
+        Returns the skeleton, or a bool if the formula is constant.  Each
+        comparison is canonicalized once per solver (``_canonical_cache``):
+        the uncached checks of one grade share most of their comparisons.
         """
         if isinstance(formula, BoolConst):
             return formula.value
         if isinstance(formula, Comparison):
-            canonical = canonicalize(formula)
+            canonical = self._canonical_cache.get(formula)
+            if canonical is None:
+                canonical = _remember(
+                    self._canonical_cache, formula, canonicalize(formula)
+                )
             if isinstance(canonical, bool):
                 return canonical
             assert isinstance(canonical, CanonicalLiteral)

@@ -1,9 +1,11 @@
 """Tests for the relational engine (bag semantics, grouping, aggregates)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from repro.catalog import Catalog
 from repro.engine import (
     Database,
     DataGenerator,
@@ -15,7 +17,11 @@ from repro.engine import (
     filtered_rows,
     grouped_rows,
 )
+from repro.engine import executor
+from repro.logic.evaluate import EvaluationError, eval_formula
 from repro.sqlparser import parse_query
+from repro.witness import guided_generator
+from repro.workloads import dblp
 
 
 @pytest.fixture()
@@ -163,6 +169,96 @@ class TestExecution:
         )
         rows = sorted(execute(q, db))
         assert rows == [("Bud", "Joyce", 1), ("Bud", "Taproom", 2)]
+
+
+def _full_product_rows(query, database):
+    """``FW(Q)`` the slow way: WHERE on every complete environment."""
+    per_alias = [
+        [
+            {f"{entry.alias}.{column}": value for column, value in row.items()}
+            for row in database.rows(entry.table)
+        ]
+        for entry in query.from_entries
+    ]
+    rows = []
+    for combo in itertools.product(*per_alias):
+        env = {}
+        for part in combo:
+            env.update(part)
+        if eval_formula(query.where, env):
+            rows.append(env)
+    return rows
+
+
+class TestConjunctPlacement:
+    """``filtered_rows`` checks each WHERE conjunct where it is bound."""
+
+    @pytest.fixture()
+    def rs_catalog(self):
+        return Catalog.from_spec(
+            {"R": [("a", "INT"), ("b", "INT")], "S": [("c", "INT")]}
+        )
+
+    @pytest.mark.parametrize(
+        "question", dblp.QUESTIONS, ids=lambda question: question.qid
+    )
+    def test_same_rows_in_same_order_as_full_product(self, question):
+        catalog = dblp.catalog()
+        queries = tuple(
+            parse_query(sql, catalog)
+            for sql in (question.correct_sql, question.wrong_sql)
+        )
+        generator = guided_generator(catalog, queries, seed=0)
+        emitted = 0
+        for database in generator.instances(40, seed=0):
+            for query in queries:
+                expected = _full_product_rows(query, database)
+                rows = list(filtered_rows(query, database))
+                assert [list(env.items()) for env in rows] == [
+                    list(env.items()) for env in expected
+                ]
+                emitted += len(rows)
+        assert emitted  # some instance passes WHERE, so order is checked
+
+    def test_division_before_a_false_conjunct_still_raises(self, rs_catalog):
+        database = Database(rs_catalog, {"R": [(1, 0)], "S": [(3,)]})
+        query = parse_query(
+            "SELECT r.a FROM R r, S s WHERE r.a / r.b > 1 AND r.a = 5",
+            rs_catalog,
+        )
+        with pytest.raises(EvaluationError):
+            list(filtered_rows(query, database))
+
+    def test_false_conjunct_before_division_returns_nothing(self, rs_catalog):
+        database = Database(rs_catalog, {"R": [(1, 0)], "S": [(3,)]})
+        query = parse_query(
+            "SELECT r.a FROM R r, S s WHERE s.c = 2 AND r.a / r.b > 1",
+            rs_catalog,
+        )
+        assert list(filtered_rows(query, database)) == []
+
+    def test_false_conjunct_prunes_the_aliases_after_it(
+        self, rs_catalog, monkeypatch
+    ):
+        database = Database(
+            rs_catalog, {"R": [(1, 0), (2, 0)], "S": [(3,), (4,), (5,)]}
+        )
+        query = parse_query(
+            "SELECT r.a FROM R r, S s1, S s2, S s3 "
+            "WHERE r.a = 5 AND s1.c = s2.c AND s2.c < s3.c",
+            rs_catalog,
+        )
+        checked = []
+
+        def counting_eval(formula, env):
+            checked.append(formula)
+            return eval_formula(formula, env)
+
+        monkeypatch.setattr(executor, "eval_formula", counting_eval)
+        assert list(filtered_rows(query, database)) == []
+        # One check of r.a = 5 per R row, not one WHERE per each of the
+        # 2 * 3**3 complete environments.
+        assert len(checked) == 2
 
 
 class TestBagEqual:

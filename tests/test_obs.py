@@ -233,6 +233,15 @@ class TestMetrics:
         )
         with pytest.raises(ValueError):
             parse_prometheus_text(bad)
+        # _sum and _count without buckets
+        bad = "# TYPE h histogram\nh_sum 0.5\nh_count 1\n"
+        with pytest.raises(ValueError):
+            parse_prometheus_text(bad)
+
+    def test_parser_accepts_histogram_with_no_samples_yet(self):
+        families = parse_prometheus_text("# TYPE h histogram\n")
+        assert families["h"] == {"kind": "histogram", "help": "",
+                                 "samples": []}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the SMT facade (the paper's three Z3 primitives)."""
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.formulas import Comparison, FALSE, TRUE, neg
@@ -174,6 +176,51 @@ class TestCaching:
             assert len(local._sat_cache) <= 8
             assert len(local._theory_cache) <= 8
             assert verdict == Solver().is_satisfiable(formula)
+
+    @staticmethod
+    def _count_canonicalize(monkeypatch):
+        calls = Counter()
+
+        def counting(comparison):
+            calls[comparison] += 1
+            return canonicalize(comparison)
+
+        monkeypatch.setattr(smt, "canonicalize", counting)
+        return calls
+
+    def test_each_comparison_is_canonicalized_once(self, monkeypatch):
+        calls = self._count_canonicalize(monkeypatch)
+        local = Solver()
+        ab, bc, ca = cmp("<", A, B), cmp("<", B, C), cmp("<", C, A)
+        assert local.is_satisfiable(ab & bc)
+        assert local.is_unsatisfiable(ab & bc & ca)
+        assert local.stats["cache_hits"] == 0  # two uncached checks
+        assert calls == {ab: 1, bc: 1, ca: 1}
+
+    def test_a_fresh_solver_starts_with_an_empty_memo(self, monkeypatch):
+        calls = self._count_canonicalize(monkeypatch)
+        ab = cmp("<", A, B)
+        assert Solver().is_satisfiable(ab)
+        local = Solver()
+        assert local._canonical_cache == {}
+        assert local.is_satisfiable(ab)
+        assert calls == {ab: 2}
+
+    def test_canonical_memo_flushes_wholesale(self, monkeypatch):
+        low, high = cmp(">", A, const(1)), cmp("<", A, const(3))
+        formulas = [low & high, cmp("<", A, B), low & neg(high),
+                    cmp(">", A, const(2)) & cmp("<", A, const(3))]
+        expected = [Solver().is_satisfiable(f) for f in formulas]
+        monkeypatch.setattr(smt, "_CACHE_LIMIT", 2)
+        local = Solver()
+        verdicts = [local.is_satisfiable(formulas[0])]
+        assert set(local._canonical_cache) == {low, high}
+        verdicts.append(local.is_satisfiable(formulas[1]))
+        # Full at the limit: both entries go, not only the oldest.
+        assert set(local._canonical_cache) == {cmp("<", A, B)}
+        verdicts += [local.is_satisfiable(f) for f in formulas[2:]]
+        assert len(local._canonical_cache) <= 2
+        assert verdicts == expected
 
     def test_stats_snapshot_has_new_counters(self):
         local = Solver()
