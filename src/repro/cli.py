@@ -741,7 +741,12 @@ def cmd_corpus(args):
 def cmd_serve(args):
     import os
 
-    from repro.service.server import HintService, serve
+    from repro.service.server import (
+        AdmissionController,
+        CacheSpiller,
+        HintService,
+        serve,
+    )
 
     service = HintService()
     session = None
@@ -764,43 +769,36 @@ def cmd_serve(args):
         if os.path.exists(args.cache_file):
             try:
                 count = session.cache.load(args.cache_file)
-            except (OSError, ValueError, KeyError, TypeError) as error:
+            except (OSError, ValueError) as error:
                 print(f"error: cannot load {args.cache_file}: {error}",
                       file=sys.stderr)
                 return EXIT_ERROR
             print(f"restored {count} cached artifact(s) from {args.cache_file}")
-    spiller = None
-    if args.cache_spill_interval:
-        if args.cache_spill_interval < 0:
-            print("error: --cache-spill-interval must be positive",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        if not args.cache_file:
-            print("error: --cache-spill-interval requires --cache-file",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        from repro.service.server import CacheSpiller
-
-        spiller = CacheSpiller(
-            session.cache, args.cache_file, args.cache_spill_interval
-        )
-    admission = None
-    if args.max_inflight is not None:
-        if args.max_inflight <= 0:
-            print("error: --max-inflight must be positive", file=sys.stderr)
-            return EXIT_ERROR
-        from repro.service.server import AdmissionController
-
+    if args.cache_spill_interval and not args.cache_file:
+        print("error: --cache-spill-interval requires --cache-file",
+              file=sys.stderr)
+        return EXIT_ERROR
+    # The constructors and serve() check every setting before anything
+    # starts; a bad value is a usage error.
+    try:
+        spiller = None
+        if args.cache_spill_interval:
+            spiller = CacheSpiller(
+                session.cache, args.cache_file, args.cache_spill_interval
+            )
         admission = AdmissionController(
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             queue_timeout=args.queue_timeout,
         )
-    code = serve(args.host, args.port, service, quiet=args.quiet,
-                 spiller=spiller, slow_ms=args.slow_ms,
-                 admission=admission, read_timeout=args.read_timeout,
-                 max_timeout_ms=args.max_timeout_ms,
-                 drain_timeout=args.drain_timeout)
+        code = serve(args.host, args.port, service, quiet=args.quiet,
+                     spiller=spiller, slow_ms=args.slow_ms,
+                     admission=admission, read_timeout=args.read_timeout,
+                     max_timeout_ms=args.max_timeout_ms,
+                     drain_timeout=args.drain_timeout)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ERROR
     if args.cache_file and session is not None:
         count = session.cache.save(args.cache_file)
         print(f"saved {count} cached artifact(s) to {args.cache_file}")

@@ -58,9 +58,11 @@ class StageResult:
     stage: str
     passed: bool  # viability held before any fix
     hints: list = field(default_factory=list)
-    repair_cost: float | None = None
     elapsed: float = 0.0
-    query_after: ResolvedQuery | None = None
+    #: The working query after this stage's fix: per run, never spilled.
+    query_after: ResolvedQuery | None = field(
+        default=None, metadata={"spill": False}
+    )
 
 
 @dataclass
@@ -273,7 +275,6 @@ class QrHint:
             result.hints = hint_templates.predicate_repair_hints(
                 "WHERE", repaired.repair, working.where
             )
-            result.repair_cost = repaired.cost
             working = replace(
                 working, where=repaired.repair.apply(working.where)
             )
@@ -312,7 +313,6 @@ class QrHint:
             result.hints = hint_templates.predicate_repair_hints(
                 "HAVING", repaired.repair, analysis.working_scalar
             )
-            result.repair_cost = repaired.cost
             fixed_scalar = repaired.repair.apply(analysis.working_scalar)
             working = replace(
                 working, having=analysis.descalarize(fixed_scalar)

@@ -105,42 +105,37 @@ class ArtifactCache:
         with self._lock:
             return key in self._entries
 
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
     # -- disk spill -----------------------------------------------------
 
     def save(self, path):
         """Spill every cached entry to a JSON file; returns the count.
 
-        Entries are written oldest-first, so a later :meth:`load`
-        reproduces the LRU order exactly.  Artifacts the structural codecs
-        do not understand (see :mod:`repro.service.serialize`) are skipped
-        rather than failing the spill.  The write is atomic (temp file +
-        rename), so a crash mid-save never truncates an existing spill.
+        The file is ``{"version": 2, "entries": [[key, artifact], ...]}``,
+        each pair encoded by :func:`repro.service.serialize.to_obj` and
+        written oldest-first, so a later :meth:`load` reproduces the LRU
+        order exactly.  An entry the codec cannot encode (an object of a
+        class outside its registry) is skipped rather than failing the
+        spill.  The write is atomic (temp file + rename), so a crash
+        mid-save never truncates an existing spill.
         """
         import os
 
-        from repro.service.serialize import artifact_to_obj, key_to_obj
+        from repro.service.serialize import VERSION, to_obj
 
         with self._lock:
             entries = list(self._entries.items())
         payload = []
-        for key, artifact in entries:
+        for entry in entries:
             try:
-                payload.append(
-                    {
-                        "key": key_to_obj(key),
-                        "artifact": artifact_to_obj(artifact),
-                    }
-                )
+                payload.append(to_obj(entry))
             except TypeError:
                 continue
+        # json.dumps encodes in C; json.dump streams through pure Python.
+        text = json.dumps({"version": VERSION, "entries": payload})
         tmp_path = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp_path, "w") as handle:
-                json.dump({"version": 1, "entries": payload}, handle)
+                handle.write(text)
             os.replace(tmp_path, path)
         finally:
             if os.path.exists(tmp_path):
@@ -154,16 +149,24 @@ class ArtifactCache:
         eviction policy apply as if they had just been computed.  The
         restored canonical keys compare equal to freshly canonicalized
         submissions, which is what makes cross-restart reuse work.
+        Anything but a version-2 spill raises ``ValueError``, restoring
+        nothing.
         """
-        from repro.service.serialize import obj_to_artifact, obj_to_key
+        from repro.service.serialize import VERSION, from_obj
 
         with open(path) as handle:
             payload = json.load(handle)
-        count = 0
-        for item in payload.get("entries", []):
-            self.put(obj_to_key(item["key"]), obj_to_artifact(item["artifact"]))
-            count += 1
-        return count
+        try:
+            if payload["version"] != VERSION:
+                raise ValueError(f"version {payload['version']!r}")
+            restored = dict(from_obj(payload["entries"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"not a version-{VERSION} artifact spill ({exc})"
+            ) from exc
+        for key, artifact in restored.items():
+            self.put(key, artifact)
+        return len(restored)
 
     @property
     def hit_rate(self):

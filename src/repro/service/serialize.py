@@ -1,22 +1,27 @@
-"""JSON codecs for cache artifacts: exact structural round-trips.
+"""JSON codec for the artifact-cache spill: one rule, exact round trips.
 
-The artifact cache stores pipeline :class:`~repro.core.pipeline.Report`
-objects and :class:`~repro.witness.build.Witness` instances keyed by
-canonical :class:`~repro.query.ResolvedQuery` forms.  Spilling it to disk
-(``ArtifactCache.save`` / ``load``) needs a serialization that
-reconstructs *equal* objects -- the restored canonical query must hash and
-compare identically to a freshly canonicalized submission, and a restored
-report must render byte-identical hints -- so these codecs encode the full
-term/formula/query structure rather than SQL text (re-parsing would need a
-catalog and could normalize away tree shape).
+A restored cache key must hash and compare equal to a freshly
+canonicalized submission, and a restored report must render
+byte-identical hints, so the spill keeps full term/formula/query trees
+rather than SQL text.  One rule encodes every value :func:`to_obj`
+accepts:
 
-Values are tagged: ``Fraction`` as ``{"f": [num, den]}``, floats as
-``{"fl": x}``, strings and booleans natively (a bare string is always a
-string *value*).
+* ``None``, booleans, ints, floats and strings are JSON-native;
+* a tuple is a list;
+* a ``Fraction`` is ``{"f": [num, den]}`` and a ``SqlType`` ``{"y": name}``;
+* an instance of a class in :data:`CLASSES` is ``{"t": class name, field:
+  value, ...}`` over its dataclass fields, except those declared with
+  ``metadata={"spill": False}``.
+
+:func:`from_obj` inverts the rule, building only classes in
+:data:`CLASSES`, each through its own constructor and its checks.  Bump
+:data:`VERSION` when the rule changes or a spilled class adds, removes,
+renames or re-types a field, so ``load`` refuses spills of the old shape.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from repro.catalog import SqlType
@@ -27,284 +32,57 @@ from repro.logic.terms import AggCall, Arith, Const, Neg, Var
 from repro.query import FromEntry, ResolvedQuery
 from repro.witness.build import Witness
 
+#: Format version written by ``ArtifactCache.save``; ``load`` accepts no other.
+VERSION = 2
 
-# ----------------------------------------------------------------------
-# Scalars
-# ----------------------------------------------------------------------
+#: The classes a spill may hold, by the name it records for them.
+CLASSES = {
+    cls.__name__: cls
+    for cls in (Var, Const, Arith, Neg, AggCall, BoolConst, Comparison, Not,
+                And, Or, FromEntry, ResolvedQuery, Hint, StageResult, Report,
+                Witness)
+}
+#: The fields spilled per class.
+_FIELDS = {
+    cls: [f.name for f in fields(cls) if f.metadata.get("spill", True)]
+    for cls in CLASSES.values()
+}
 
 
-def value_to_obj(value):
-    if value is None or isinstance(value, (bool, str)):
+def to_obj(value):
+    """The JSON-ready form of ``value``; ``TypeError`` if the rule has none."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, tuple):
+        return [to_obj(item) for item in value]
     if isinstance(value, Fraction):
         return {"f": [value.numerator, value.denominator]}
-    if isinstance(value, int):
-        return {"f": [value, 1]}
-    if isinstance(value, float):
-        return {"fl": value}
-    raise TypeError(f"cannot serialize value {value!r}")
+    if isinstance(value, SqlType):
+        return {"y": value.name}
+    names = _FIELDS.get(type(value))
+    if names is None:
+        raise TypeError(f"cannot spill {value!r}")
+    obj = {"t": type(value).__name__}
+    for name in names:
+        obj[name] = to_obj(getattr(value, name))
+    return obj
 
 
-def obj_to_value(obj):
-    if obj is None or isinstance(obj, (bool, str)):
+def from_obj(obj):
+    """The value :func:`to_obj` encoded as ``obj``; ``ValueError`` for an
+    unknown tag or shape (a bad field raises what its constructor raises)."""
+    if isinstance(obj, list):
+        return tuple(from_obj(item) for item in obj)
+    if not isinstance(obj, dict):
         return obj
-    if "f" in obj:
+    if "t" in obj:
+        cls = CLASSES.get(obj["t"])
+        if cls is None:
+            raise ValueError(f"unknown spilled class {obj['t']!r}")
+        return cls(**{k: from_obj(v) for k, v in obj.items() if k != "t"})
+    if obj.keys() == {"f"}:
         num, den = obj["f"]
         return Fraction(num, den)
-    return obj["fl"]
-
-
-# ----------------------------------------------------------------------
-# Terms / formulas / queries
-# ----------------------------------------------------------------------
-
-
-def term_to_obj(term):
-    if isinstance(term, Var):
-        return {"t": "var", "n": term.name, "y": term.vtype.value}
-    if isinstance(term, Const):
-        return {"t": "const", "y": term.vtype.value, "v": value_to_obj(term.value)}
-    if isinstance(term, Arith):
-        return {
-            "t": "arith",
-            "op": term.op,
-            "l": term_to_obj(term.left),
-            "r": term_to_obj(term.right),
-        }
-    if isinstance(term, Neg):
-        return {"t": "neg", "c": term_to_obj(term.child)}
-    if isinstance(term, AggCall):
-        return {
-            "t": "agg",
-            "f": term.func,
-            "a": term_to_obj(term.arg) if term.arg is not None else None,
-            "d": term.distinct,
-        }
-    raise TypeError(f"cannot serialize term {term!r}")
-
-
-def obj_to_term(obj):
-    tag = obj["t"]
-    if tag == "var":
-        return Var(obj["n"], SqlType[obj["y"]])
-    if tag == "const":
-        return Const(obj_to_value(obj["v"]), SqlType[obj["y"]])
-    if tag == "arith":
-        return Arith(obj["op"], obj_to_term(obj["l"]), obj_to_term(obj["r"]))
-    if tag == "neg":
-        return Neg(obj_to_term(obj["c"]))
-    if tag == "agg":
-        arg = obj_to_term(obj["a"]) if obj["a"] is not None else None
-        return AggCall(obj["f"], arg, obj["d"])
-    raise ValueError(f"unknown term tag {tag!r}")
-
-
-def formula_to_obj(formula):
-    if isinstance(formula, BoolConst):
-        return {"t": "bool", "v": formula.value}
-    if isinstance(formula, Comparison):
-        return {
-            "t": "cmp",
-            "op": formula.op,
-            "l": term_to_obj(formula.left),
-            "r": term_to_obj(formula.right),
-        }
-    if isinstance(formula, Not):
-        return {"t": "not", "c": formula_to_obj(formula.child)}
-    if isinstance(formula, (And, Or)):
-        return {
-            "t": "and" if isinstance(formula, And) else "or",
-            "c": [formula_to_obj(c) for c in formula.operands],
-        }
-    raise TypeError(f"cannot serialize formula {formula!r}")
-
-
-def obj_to_formula(obj):
-    tag = obj["t"]
-    if tag == "bool":
-        return BoolConst(obj["v"])
-    if tag == "cmp":
-        return Comparison(obj["op"], obj_to_term(obj["l"]), obj_to_term(obj["r"]))
-    if tag == "not":
-        return Not(obj_to_formula(obj["c"]))
-    if tag in ("and", "or"):
-        cls = And if tag == "and" else Or
-        return cls(tuple(obj_to_formula(c) for c in obj["c"]))
-    raise ValueError(f"unknown formula tag {tag!r}")
-
-
-def query_to_obj(query):
-    return {
-        "t": "query",
-        "from": [[e.table, e.alias] for e in query.from_entries],
-        "where": formula_to_obj(query.where),
-        "group": [term_to_obj(t) for t in query.group_by],
-        "having": formula_to_obj(query.having),
-        "select": [term_to_obj(t) for t in query.select],
-        "aliases": list(query.select_aliases),
-        "distinct": query.distinct,
-    }
-
-
-def obj_to_query(obj):
-    return ResolvedQuery(
-        from_entries=tuple(FromEntry(t, a) for t, a in obj["from"]),
-        where=obj_to_formula(obj["where"]),
-        group_by=tuple(obj_to_term(t) for t in obj["group"]),
-        having=obj_to_formula(obj["having"]),
-        select=tuple(obj_to_term(t) for t in obj["select"]),
-        select_aliases=tuple(obj["aliases"]),
-        distinct=obj["distinct"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Reports / witnesses
-# ----------------------------------------------------------------------
-
-
-def _hint_to_obj(hint):
-    return {
-        "stage": hint.stage,
-        "kind": hint.kind,
-        "message": hint.message,
-        "site": hint.site,
-        "fix": hint.fix,
-    }
-
-
-def _obj_to_hint(obj):
-    return Hint(
-        stage=obj["stage"],
-        kind=obj["kind"],
-        message=obj["message"],
-        site=obj["site"],
-        fix=obj["fix"],
-    )
-
-
-def report_to_obj(report):
-    return {
-        "t": "report",
-        "stages": [
-            {
-                "stage": s.stage,
-                "passed": s.passed,
-                "hints": [_hint_to_obj(h) for h in s.hints],
-                "cost": value_to_obj(s.repair_cost),
-                "elapsed": s.elapsed,
-            }
-            for s in report.stages
-        ],
-        "final": query_to_obj(report.final_query),
-        "target": query_to_obj(report.target_query),
-        "elapsed": report.elapsed,
-    }
-
-
-def obj_to_report(obj):
-    stages = []
-    for item in obj["stages"]:
-        # query_after is a per-run intermediate no report consumer reads
-        # back out of the cache; it is not spilled.
-        stages.append(
-            StageResult(
-                stage=item["stage"],
-                passed=item["passed"],
-                hints=tuple(_obj_to_hint(h) for h in item["hints"]),
-                repair_cost=obj_to_value(item["cost"]),
-                elapsed=item["elapsed"],
-            )
-        )
-    return Report(
-        stages=tuple(stages),
-        final_query=obj_to_query(obj["final"]),
-        target_query=obj_to_query(obj["target"]),
-        elapsed=obj["elapsed"],
-    )
-
-
-def witness_to_obj(witness):
-    return {
-        "t": "witness",
-        "tables": [
-            [name, list(columns), [[value_to_obj(v) for v in row] for row in rows]]
-            for name, columns, rows in witness.tables
-        ],
-        "wrong": [[value_to_obj(v) for v in row] for row in witness.wrong_result],
-        "target": [[value_to_obj(v) for v in row] for row in witness.target_result],
-        "stage": witness.stage,
-        "source": witness.source,
-        "assignments": list(witness.assignments),
-        "elapsed": witness.elapsed,
-    }
-
-
-def obj_to_witness(obj):
-    return Witness(
-        tables=tuple(
-            (
-                name,
-                tuple(columns),
-                tuple(tuple(obj_to_value(v) for v in row) for row in rows),
-            )
-            for name, columns, rows in obj["tables"]
-        ),
-        wrong_result=tuple(
-            tuple(obj_to_value(v) for v in row) for row in obj["wrong"]
-        ),
-        target_result=tuple(
-            tuple(obj_to_value(v) for v in row) for row in obj["target"]
-        ),
-        stage=obj["stage"],
-        source=obj["source"],
-        assignments=tuple(obj["assignments"]),
-        elapsed=obj["elapsed"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Cache entries (keys + artifacts)
-# ----------------------------------------------------------------------
-
-
-def key_to_obj(key):
-    """Cache keys: a canonical query, or a ``(tag, query)`` composite."""
-    if isinstance(key, ResolvedQuery):
-        return query_to_obj(key)
-    if (
-        isinstance(key, tuple)
-        and len(key) == 2
-        and isinstance(key[0], str)
-        and isinstance(key[1], ResolvedQuery)
-    ):
-        return {"t": "composite", "tag": key[0], "q": query_to_obj(key[1])}
-    raise TypeError(f"cannot serialize cache key {key!r}")
-
-
-def obj_to_key(obj):
-    if obj["t"] == "composite":
-        return (obj["tag"], obj_to_query(obj["q"]))
-    return obj_to_query(obj)
-
-
-def artifact_to_obj(artifact):
-    """Cache artifacts: reports, witnesses, and string sentinels."""
-    if isinstance(artifact, Report):
-        return report_to_obj(artifact)
-    if isinstance(artifact, Witness):
-        return witness_to_obj(artifact)
-    if isinstance(artifact, str):
-        return {"t": "str", "v": artifact}
-    raise TypeError(f"cannot serialize cache artifact {artifact!r}")
-
-
-def obj_to_artifact(obj):
-    tag = obj["t"]
-    if tag == "report":
-        return obj_to_report(obj)
-    if tag == "witness":
-        return obj_to_witness(obj)
-    if tag == "str":
-        return obj["v"]
-    raise ValueError(f"unknown artifact tag {tag!r}")
+    if obj.keys() == {"y"}:
+        return SqlType[obj["y"]]
+    raise ValueError(f"unknown spilled object {obj!r}")

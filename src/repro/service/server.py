@@ -6,7 +6,8 @@ exposes it over three routes served by a ``ThreadingHTTPServer``:
 
 * ``POST /assignments`` -- register a target query; body
   ``{"schema": {...}, "target_sql": "..."}`` (schema in the same format as
-  the CLI schema file), returns ``{"assignment_id": "a1", ...}``.
+  the CLI schema file) and an optional string ``"assignment_id"``,
+  returns ``{"assignment_id": "a1", ...}``.
 * ``POST /grade`` -- grade a submission; body
   ``{"assignment_id": "a1", "sql": "...", "show_fixes": false,
   "witness": false, "effort": false}`` (``"witness": true`` adds an
@@ -119,6 +120,24 @@ _SHED = REGISTRY.counter(
 )
 
 
+def _setting(name, value, *, integer=False, positive=False, optional=False):
+    """``value`` if it is a finite number (an int, never a bool, when
+    ``integer``) that is > 0 when ``positive`` and >= 0 otherwise, or None
+    when ``optional``; ``ValueError`` for anything else, NaN included."""
+    kinds = int if integer else (int, float)
+    if (value is None and optional) or (
+        isinstance(value, kinds)
+        and not isinstance(value, bool)
+        and (value > 0 if positive else value >= 0)
+        and value < math.inf
+    ):
+        return value
+    kind = "an integer" if integer else "a finite number"
+    bound = "> 0" if positive else ">= 0"
+    none = " or None" if optional else ""
+    raise ValueError(f"{name} must be {kind} {bound}{none}, got {value!r}")
+
+
 class ServiceError(Exception):
     """An HTTP-mappable request error."""
 
@@ -141,13 +160,17 @@ class AdmissionController:
     ``max_inflight=None`` means unbounded-but-tracked: nothing is ever
     shed for load, but in-flight accounting still works, which is what
     graceful drain (:meth:`HintHTTPServer.drain`) relies on -- so a
-    controller is always attached, bounded or not.
+    controller is always attached, bounded or not.  ``max_inflight`` is
+    None or an int >= 1, ``max_queue`` an int >= 0, ``queue_timeout`` >= 0.
     """
 
     def __init__(self, max_inflight=None, max_queue=0, queue_timeout=1.0):
-        self.max_inflight = max_inflight
-        self.max_queue = max_queue
-        self.queue_timeout = queue_timeout
+        self.max_inflight = _setting(
+            "max_inflight", max_inflight,
+            integer=True, positive=True, optional=True,
+        )
+        self.max_queue = _setting("max_queue", max_queue, integer=True)
+        self.queue_timeout = _setting("queue_timeout", queue_timeout)
         self._cond = threading.Condition()
         self.inflight = 0
         self.waiting = 0
@@ -250,6 +273,8 @@ class HintService:
         max_sites=2,
         cache_size=256,
     ):
+        if assignment_id is not None and not isinstance(assignment_id, str):
+            raise ServiceError(400, "assignment_id must be a string")
         session = AssignmentSession(
             catalog,
             target_sql,
@@ -333,14 +358,13 @@ class CacheSpiller:
     mutation in the serve path is preceded by a miss (and evictions move
     on overflow), so ``(size, misses, evictions)`` is a reliable
     dirtiness signal and an idle server never touches the disk.
+    ``interval`` must be finite and > 0, else ``ValueError``.
     """
 
     def __init__(self, cache, path, interval):
-        if interval <= 0:
-            raise ValueError("spill interval must be positive")
         self.cache = cache
         self.path = path
-        self.interval = interval
+        self.interval = _setting("interval", interval, positive=True)
         self.spills = 0  # completed (non-skipped) spills
         self.skipped_idle = 0  # spills skipped because the cache was clean
         self.errors = 0  # spills that failed with OSError
@@ -955,8 +979,11 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
     ``read_timeout`` puts a socket timeout on request reads so stalled
     clients get 408/disconnected instead of pinning handler threads;
     ``max_timeout_ms`` caps (and defaults) per-request ``timeout_ms``
-    grade budgets.
+    grade budgets.  A bad setting raises ``ValueError`` before the bind.
     """
+    _setting("slow_ms", slow_ms, optional=True)
+    _setting("read_timeout", read_timeout, positive=True, optional=True)
+    _setting("max_timeout_ms", max_timeout_ms, positive=True, optional=True)
     server = HintHTTPServer((host, port), HintRequestHandler)
     server.service = service or HintService()
     server.slow_ms = slow_ms
@@ -981,8 +1008,10 @@ def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
     shedding (503 ``draining``), in-flight requests get up to
     ``drain_timeout`` seconds to finish their complete responses, and the
     spiller performs its final flush only after the drain -- so the spill
-    file includes artifacts from requests that finished during it.
+    file includes artifacts from requests that finished during it.  A bad
+    setting raises ``ValueError`` before anything starts.
     """
+    _setting("drain_timeout", drain_timeout)
     HintRequestHandler.quiet = quiet
     server = make_server(host, port, service, slow_ms=slow_ms,
                          spiller=spiller, admission=admission,

@@ -311,7 +311,6 @@ class AssignmentSession:
         self.witness_runs = 0  # generate_witness invocations (cache misses)
         self.elapsed_total = 0.0
         self.pipeline_elapsed_total = 0.0
-        self.created_at = time.time()
 
     # ------------------------------------------------------------------
 

@@ -45,12 +45,6 @@ def _pattern_matches_everything(pattern):
     return pattern != "" and all(ch == "%" for ch in pattern)
 
 
-def _pattern_matches_nothing(pattern):
-    # Every LIKE pattern matches at least one string (replace % by "" and
-    # _ by any character), so no pattern is empty-language.
-    return False
-
-
 def check_strings(equalities, disequalities, likes):
     """Decide a conjunction of string atoms.
 
@@ -96,13 +90,12 @@ def check_strings(equalities, disequalities, likes):
             if sql_like(const.value, pattern) != positive:
                 return False
             continue
+        # Every LIKE pattern matches some string (% as "", _ as any
+        # character), so on its own a positive pattern is satisfiable.
         if positive:
-            if _pattern_matches_nothing(pattern):
-                return False
             positive_patterns.setdefault(root, []).append(pattern)
-        else:
-            if _pattern_matches_everything(pattern):
-                return False
+        elif _pattern_matches_everything(pattern):
+            return False
 
     # Conflicting positive patterns on the same class: only the cheap check
     # of identical-prefix/suffix wildcard-free fragments is attempted; when

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import json
 import threading
 
 import pytest
@@ -34,6 +35,22 @@ def start_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive(), "serve_forever did not exit"
+
+
+@pytest.fixture()
+def serve_argv(tmp_path):
+    """``repro serve`` arguments that preload assignment ``default``
+    (target ``SELECT beer FROM Serves WHERE price > 2``) with the cache
+    file ``tmp_path/cache.json``."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(
+        {"Serves": [["bar", "STRING"], ["beer", "STRING"], ["price", "FLOAT"]]}
+    ))
+    return [
+        "serve", "--schema", str(schema),
+        "--target-sql", "SELECT beer FROM Serves WHERE price > 2",
+        "--cache-file", str(tmp_path / "cache.json"),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import pytest
 from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY
 from repro.service import (
+    ArtifactCache,
     AssignmentSession,
     GradeError,
     grade_batch,
@@ -29,7 +30,12 @@ from repro.service.faults import (
     FaultRegistry,
     stalled_client_socket,
 )
-from repro.service.server import AdmissionController, CacheSpiller
+from repro.service.server import (
+    AdmissionController,
+    CacheSpiller,
+    make_server,
+    serve,
+)
 
 TARGET = "SELECT beer FROM Serves WHERE price > 2"
 WRONG = "SELECT beer FROM Serves WHERE price >= 2"
@@ -443,6 +449,88 @@ class TestGracefulDrain:
             status, body, _ = slow.result(timeout=30)
             assert status == 200 and not body["all_passed"]
             assert drained is True
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _spiller(interval):
+    return CacheSpiller(ArtifactCache(), "unused.json", interval)
+
+
+#: setting -> (builds the object that stores it from one value, values it
+#: must reject, the ``repro serve`` flag and a value of it to reject).
+SERVE_SETTINGS = {
+    "max_inflight": (
+        lambda v: AdmissionController(max_inflight=v),
+        [0, -1, 1.5, NAN, True, "2"], "--max-inflight", "0",
+    ),
+    "max_queue": (
+        lambda v: AdmissionController(max_queue=v),
+        [-1, 1.5, NAN, None, True], "--max-queue", "-1",
+    ),
+    "queue_timeout": (
+        lambda v: AdmissionController(queue_timeout=v),
+        [-1, NAN, INF, None, "1"], "--queue-timeout", "nan",
+    ),
+    "interval": (
+        _spiller, [0, -1, NAN, INF, None], "--cache-spill-interval", "nan",
+    ),
+    "read_timeout": (
+        lambda v: make_server(port=0, read_timeout=v),
+        [0, -1, NAN, INF], "--read-timeout", "-1",
+    ),
+    "max_timeout_ms": (
+        lambda v: make_server(port=0, max_timeout_ms=v),
+        [0, -1, NAN, INF], "--max-timeout-ms", "0",
+    ),
+    "slow_ms": (
+        lambda v: make_server(port=0, slow_ms=v),
+        [-1, NAN, INF], "--slow-ms", "nan",
+    ),
+    "drain_timeout": (
+        lambda v: serve(port=0, quiet=True, drain_timeout=v),
+        [-1, NAN, INF, None], "--drain-timeout", "-1",
+    ),
+}
+
+
+class _NoServer:
+    """Stands in for ``HintHTTPServer``: a bad setting must stop
+    ``make_server``/``serve`` before any port is bound or served."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a server was built despite a bad setting")
+
+
+class TestServeSettings:
+    @pytest.mark.parametrize("setting", list(SERVE_SETTINGS))
+    def test_bad_value_raises_and_serve_exits_2(
+        self, setting, serve_argv, capsys, monkeypatch
+    ):
+        import repro.service.server as server_module
+        from repro.cli import main
+
+        build, bad_values, flag, flag_value = SERVE_SETTINGS[setting]
+        monkeypatch.setattr(server_module, "HintHTTPServer", _NoServer)
+        for value in bad_values:
+            with pytest.raises(ValueError, match=setting):
+                build(value)
+        assert main(serve_argv + [flag, flag_value]) == 2
+        assert f"error: {setting} must be" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self):
+        admission = AdmissionController(
+            max_inflight=1, max_queue=0, queue_timeout=0
+        )
+        assert (admission.max_inflight, admission.max_queue) == (1, 0)
+        assert AdmissionController(max_inflight=None).max_inflight is None
+        assert _spiller(0.001).interval == 0.001
+        server = make_server(
+            port=0, slow_ms=0, read_timeout=0.5, max_timeout_ms=1
+        )
+        server.server_close()
 
 
 class TestWorkerRecovery:

@@ -370,6 +370,16 @@ class TestHttpServer:
         assert self._create(client, assignment_id="hw")[0] == 201
         assert self._create(client, assignment_id="hw")[0] == 409
 
+    def test_non_string_assignment_id_400(self, client):
+        # A dict id used to answer 500 (unhashable), and an int id 201
+        # for an assignment POST /grade, which needs a string, never reaches.
+        for bad in ({"x": 1}, 5):
+            status, body = self._create(client, assignment_id=bad)
+            assert status == 400, (bad, body)
+            assert "assignment_id must be a string" in body["error"]
+        _, stats = client.get("/stats")
+        assert stats["assignments"] == {}
+
     def test_malformed_schema_400_not_500(self, client):
         status, body = client.post(
             "/assignments",
@@ -867,6 +877,77 @@ class TestCacheDiskSpill:
             "select S.beer from Serves s WHERE s.price >= 2"
         )
         assert result.cached and cold.pipeline_runs == 0
+
+    def test_cli_saves_on_exit_and_restores_on_start(
+        self, serve_argv, capsys, monkeypatch
+    ):
+        import re
+
+        import repro.service.server as server_module
+        from repro.cli import main
+
+        served = []
+
+        def serve_one(host, port, service, **settings):
+            session = service.session("default")
+            result = session.grade(WRONG, witness=True)
+            served.append((result, session.pipeline_runs,
+                           session.witness_runs))
+            return 0
+
+        monkeypatch.setattr(server_module, "serve", serve_one)
+        assert main(serve_argv) == 0
+        out = capsys.readouterr().out
+        saved = int(re.search(r"saved (\d+) cached artifact", out).group(1))
+        assert saved == 2  # the report and the witness
+        assert main(serve_argv) == 0
+        out = capsys.readouterr().out
+        assert f"restored {saved} cached artifact(s)" in out
+        assert f"saved {saved} cached artifact(s)" in out
+        (first, _, _), (second, pipeline_runs, witness_runs) = served
+        assert not first.cached and second.cached
+        assert (pipeline_runs, witness_runs) == (0, 0)
+        assert second.text(show_fixes=True) == first.text(show_fixes=True)
+        assert second.witness == first.witness
+
+    MALFORMED = {
+        "top-level list": [],
+        "zero denominator": {
+            "version": 2,
+            "entries": [["k", "v"], ["k2", {"f": [1, 0]}]],
+        },
+        "unknown class tag": {
+            "version": 2,
+            "entries": [["k", {"t": "Mystery", "x": 1}]],
+        },
+        "version 1": {
+            "version": 1,
+            "entries": [
+                {"key": "k", "artifact": {"t": "str", "v": "__no_witness__"}}
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_spill_is_value_error_and_serve_exits_2(
+        self, name, serve_argv, tmp_path, capsys, monkeypatch
+    ):
+        import repro.service.server as server_module
+        from repro.cli import main
+
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(self.MALFORMED[name]))
+        cache = ArtifactCache()
+        with pytest.raises(ValueError, match="version-2 artifact spill"):
+            cache.load(str(path))
+        assert len(cache) == 0  # nothing restored from a rejected file
+
+        def must_not_serve(*args, **kwargs):
+            raise AssertionError("served despite a malformed cache file")
+
+        monkeypatch.setattr(server_module, "serve", must_not_serve)
+        assert main(serve_argv) == 2
+        assert f"cannot load {path}" in capsys.readouterr().err
 
 
 class TestWitnessFanout:

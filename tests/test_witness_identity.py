@@ -6,17 +6,22 @@ module hashes, per item, the hint text, the final SQL and every field of
 stage, the source and the assignments).  Each item is graded by a fresh
 session with witnesses on, in a fixed order.
 
-The tier-1 test pins the digest over the userstudy Q1-Q4 and the first 60
-corpus entries.  Run as a script, the module prints the digest over all
-162 tutor-cold and corpus-cold items of perfbench (the four userstudy
-questions and the seed-0 corpus pool, 4 mutants per reference query):
+The tier-1 tests pin the digest over the userstudy Q1-Q4 and the first 60
+corpus entries, graded directly and again through the artifact-cache
+spill: each item's cache is saved, loaded into a second fresh session and
+the item served from it.  Run as a script, the module prints the digest
+over all 162 tutor-cold and corpus-cold items of perfbench (the four
+userstudy questions and the seed-0 corpus pool, 4 mutants per reference
+query); ``--spill`` hashes the results served after the round trip:
 
-    PYTHONPATH=src python tests/test_witness_identity.py
+    PYTHONPATH=src python tests/test_witness_identity.py [--spill]
 """
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from collections import Counter
 
 from repro.corpus.generator import CorpusGenerator
@@ -48,12 +53,35 @@ def identity_items(corpus_entries=None):
     return items
 
 
-def identity_digest(items):
-    """``(sha256 hex digest, Counter of witness sources)`` over ``items``."""
+def _graded_through_spill(catalog, target_sql, sql, spill_dir):
+    """Grade ``sql``, spill the cache, and serve it again from the spill."""
+    path = os.path.join(spill_dir, "cache.json")
+    first = AssignmentSession(catalog, target_sql)
+    first.grade(sql, witness=True)
+    first.cache.save(path)
+    session = AssignmentSession(catalog, target_sql)
+    session.cache.load(path)
+    result = session.grade(sql, witness=True)
+    assert result.cached, sql
+    assert (session.pipeline_runs, session.witness_runs) == (0, 0), sql
+    return result
+
+
+def identity_digest(items, spill_dir=None):
+    """``(sha256 hex digest, Counter of witness sources)`` over ``items``.
+
+    With ``spill_dir``, each item's result is the one served from a fresh
+    session's cache after a save/load round trip through that directory.
+    """
     digest = hashlib.sha256()
     sources = Counter()
     for catalog, target_sql, sql in items:
-        result = AssignmentSession(catalog, target_sql).grade(sql, witness=True)
+        if spill_dir is None:
+            result = AssignmentSession(catalog, target_sql).grade(
+                sql, witness=True
+            )
+        else:
+            result = _graded_through_spill(catalog, target_sql, sql, spill_dir)
         witness = None
         if result.witness is not None:
             witness = witness_to_dict(result.witness)
@@ -70,8 +98,19 @@ def test_witness_identity():
     assert digest == TIER1_DIGEST
 
 
+def test_witness_identity_through_spill(tmp_path):
+    items = identity_items(corpus_entries=60)
+    digest, sources = identity_digest(items, spill_dir=str(tmp_path))
+    assert dict(sources) == TIER1_SOURCES
+    assert digest == TIER1_DIGEST
+
+
 if __name__ == "__main__":
-    digest, sources = identity_digest(identity_items())
+    with tempfile.TemporaryDirectory() as spill_dir:
+        digest, sources = identity_digest(
+            identity_items(),
+            spill_dir=spill_dir if "--spill" in sys.argv[1:] else None,
+        )
     print(f"{sum(sources.values())} items, witness sources {dict(sources)}",
           file=sys.stderr)
     print(digest)
