@@ -18,7 +18,8 @@ database instance on which the wrong and reference queries visibly
 disagree.
 
 Exit codes: ``0`` success, ``1`` differential verification failed (or no
-witness found), ``2`` parse/resolution (or other pipeline) error.
+witness found), ``2`` any error: bad SQL, input or setting, or a file or
+socket error (see :func:`main`).
 
 The schema file maps table names to [name, type] column pairs::
 
@@ -424,45 +425,37 @@ def cmd_hint(args):
 
     solver = Solver()
     trace_cm = TRACER.trace("hint") if args.trace else nullcontext()
-    try:
-        catalog = load_catalog(args.schema)
-        target = parse_query_extended(
-            _read_sql(args, "target", "target_sql", "target"), catalog
-        )
-        working = parse_query_extended(
-            _read_sql(args, "working", "working_sql", "working"), catalog
-        )
-        deadline = None
-        if args.timeout_ms is not None:
-            if not 0 < args.timeout_ms < math.inf:
-                print(
-                    "error: --timeout-ms must be positive and finite",
-                    file=sys.stderr,
-                )
-                return EXIT_ERROR
-            from repro.service.deadline import Deadline
+    catalog = load_catalog(args.schema)
+    target = parse_query_extended(
+        _read_sql(args, "target", "target_sql", "target"), catalog
+    )
+    working = parse_query_extended(
+        _read_sql(args, "working", "working_sql", "working"), catalog
+    )
+    deadline = None
+    if args.timeout_ms is not None:
+        if not 0 < args.timeout_ms < math.inf:
+            raise ValueError("--timeout-ms must be positive and finite")
+        from repro.service.deadline import Deadline
 
-            deadline = Deadline.after_ms(args.timeout_ms)
-        with trace_cm as trace_handle:
-            report = QrHint(
-                catalog,
-                target,
-                working,
-                max_sites=args.max_sites,
-                optimized=not args.no_optimized,
-                solver=solver,
-                deadline=deadline,
-            ).run()
-            witness = None
-            if args.witness_text and not report.all_passed:
-                from repro.witness import generate_witness
+        deadline = Deadline.after_ms(args.timeout_ms)
+    with trace_cm as trace_handle:
+        report = QrHint(
+            catalog,
+            target,
+            working,
+            max_sites=args.max_sites,
+            optimized=not args.no_optimized,
+            solver=solver,
+            deadline=deadline,
+        ).run()
+        witness = None
+        if args.witness_text and not report.all_passed:
+            from repro.witness import generate_witness
 
-                witness = generate_witness(
-                    catalog, target, working, solver=solver, seed=0
-                )
-    except (ReproError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
+            witness = generate_witness(
+                catalog, target, working, solver=solver, seed=0
+            )
 
     from repro.service.session import format_report
 
@@ -506,18 +499,13 @@ def cmd_hint(args):
 def cmd_witness(args):
     from repro.witness import format_witness_lines, generate_witness, witness_to_dict
 
-    try:
-        catalog = load_catalog(args.schema)
-        target = parse_query_extended(
-            _read_sql(args, "target", "target_sql", "target"), catalog
-        )
-        working = parse_query_extended(
-            _read_sql(args, "working", "working_sql", "working"), catalog
-        )
-    except (ReproError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
+    catalog = load_catalog(args.schema)
+    target = parse_query_extended(
+        _read_sql(args, "target", "target_sql", "target"), catalog
+    )
+    working = parse_query_extended(
+        _read_sql(args, "working", "working_sql", "working"), catalog
+    )
     witness = generate_witness(
         catalog,
         target,
@@ -578,41 +566,29 @@ def cmd_grade_batch(args):
             (q for q in dblp.QUESTIONS if q.qid == args.question), None
         )
         if question is None:
-            print(f"error: unknown userstudy question {args.question!r}",
-                  file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"unknown userstudy question {args.question!r}")
         target_sql = question.correct_sql
         submissions = userstudy.submission_pool(
             question, count=args.count, seed=args.seed
         )
     else:
         if not args.schema or not args.submissions:
-            print("error: grade-batch needs either --workload or "
-                  "--schema/--target/--submissions", file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            catalog = load_catalog(args.schema)
-            target_sql = _read_sql(args, "target", "target_sql", "target")
-            submissions = _load_submissions(args.submissions)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("grade-batch needs either --workload or "
+                             "--schema/--target/--submissions")
+        catalog = load_catalog(args.schema)
+        target_sql = _read_sql(args, "target", "target_sql", "target")
+        submissions = _load_submissions(args.submissions)
 
-    try:
-        batch = grade_batch(
-            catalog,
-            target_sql,
-            submissions,
-            processes=args.processes,
-            max_sites=args.max_sites,
-            witness=args.witness,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
+    batch = grade_batch(
+        catalog,
+        target_sql,
+        submissions,
+        processes=args.processes,
+        max_sites=args.max_sites,
+        witness=args.witness,
+        task_timeout=args.task_timeout,
+        max_retries=args.max_retries,
+    )
     stats = batch.stats()
     print(f"Graded {stats['submissions']} submissions "
           f"({stats['unique']} unique, {stats['errors']} errors) "
@@ -666,14 +642,9 @@ def cmd_corpus(args):
     schemas = None
     if args.schemas and args.schemas != "all":
         schemas = tuple(s.strip() for s in args.schemas.split(",") if s.strip())
-    try:
-        generator = CorpusGenerator(
-            schemas=schemas, seed=args.seed, max_errors=args.max_errors
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
+    generator = CorpusGenerator(
+        schemas=schemas, seed=args.seed, max_errors=args.max_errors
+    )
     pool = generator.generate_pool(per_query=args.per_query)
     stage_counts = stage_mix(pool)
     schema_names = sorted({entry.schema for entry in pool})
@@ -695,8 +666,7 @@ def cmd_corpus(args):
     if args.generate_only:
         return EXIT_OK
     if not pool:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("empty corpus")
 
     result = evaluate_corpus(
         pool,
@@ -751,56 +721,45 @@ def cmd_serve(args):
     service = HintService()
     session = None
     if args.schema:
-        try:
-            catalog = load_catalog(args.schema)
-            target_sql = _read_sql(args, "target", "target_sql", "target")
-            session = service.create_assignment(
-                catalog, target_sql, assignment_id=args.assignment_id
-            )
-        except (ReproError, OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
+        catalog = load_catalog(args.schema)
+        target_sql = _read_sql(args, "target", "target_sql", "target")
+        session = service.create_assignment(
+            catalog, target_sql, assignment_id=args.assignment_id
+        )
         print(f"preloaded assignment {session.assignment_id!r}")
     if args.cache_file:
         if session is None:
-            print("error: --cache-file requires a preloaded assignment "
-                  "(--schema/--target)", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("--cache-file requires a preloaded assignment "
+                             "(--schema/--target)")
         if os.path.exists(args.cache_file):
             try:
-                count = session.cache.load(args.cache_file)
+                count = session.load(args.cache_file)
             except (OSError, ValueError) as error:
-                print(f"error: cannot load {args.cache_file}: {error}",
-                      file=sys.stderr)
-                return EXIT_ERROR
+                raise ValueError(
+                    f"cannot load {args.cache_file}: {error}"
+                ) from error
             print(f"restored {count} cached artifact(s) from {args.cache_file}")
     if args.cache_spill_interval and not args.cache_file:
-        print("error: --cache-spill-interval requires --cache-file",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("--cache-spill-interval requires --cache-file")
     # The constructors and serve() check every setting before anything
-    # starts; a bad value is a usage error.
-    try:
-        spiller = None
-        if args.cache_spill_interval:
-            spiller = CacheSpiller(
-                session.cache, args.cache_file, args.cache_spill_interval
-            )
-        admission = AdmissionController(
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
-            queue_timeout=args.queue_timeout,
+    # starts, so a bad value stops the command before a port is bound.
+    spiller = None
+    if args.cache_spill_interval:
+        spiller = CacheSpiller(
+            session, args.cache_file, args.cache_spill_interval
         )
-        code = serve(args.host, args.port, service, quiet=args.quiet,
-                     spiller=spiller, slow_ms=args.slow_ms,
-                     admission=admission, read_timeout=args.read_timeout,
-                     max_timeout_ms=args.max_timeout_ms,
-                     drain_timeout=args.drain_timeout)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    if args.cache_file and session is not None:
-        count = session.cache.save(args.cache_file)
+    admission = AdmissionController(
+        max_inflight=args.max_inflight,
+        max_queue=args.max_queue,
+        queue_timeout=args.queue_timeout,
+    )
+    code = serve(args.host, args.port, service, quiet=args.quiet,
+                 spiller=spiller, slow_ms=args.slow_ms,
+                 admission=admission, read_timeout=args.read_timeout,
+                 max_timeout_ms=args.max_timeout_ms,
+                 drain_timeout=args.drain_timeout)
+    if args.cache_file:
+        count = session.save(args.cache_file)
         print(f"saved {count} cached artifact(s) to {args.cache_file}")
     return code
 
@@ -815,7 +774,6 @@ def cmd_journal(args):
     from repro.obs.journal import render_events
 
     if args.url:
-        from urllib.error import URLError
         from urllib.request import urlopen
 
         url = args.url.rstrip("/") + "/debug/journal"
@@ -824,9 +782,8 @@ def cmd_journal(args):
         try:
             with urlopen(url, timeout=10) as response:
                 payload = json.loads(response.read().decode("utf-8"))
-        except (URLError, OSError, ValueError) as error:
-            print(f"error: cannot fetch {url}: {error}", file=sys.stderr)
-            return EXIT_ERROR
+        except (OSError, ValueError) as error:  # URLError is an OSError
+            raise ValueError(f"cannot fetch {url}: {error}") from error
         if args.json_out:
             print(json.dumps(payload, indent=2))
             return EXIT_OK
@@ -878,33 +835,21 @@ def cmd_perfdiff(args):
                 print(f"    {metric.path} ({metric.direction}, {gate_note})")
         return EXIT_OK
 
-    try:
-        gate = parse_gate(args.gate)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
+    gate = parse_gate(args.gate)
     benches = list(BENCHMARKS) if args.all else list(args.bench)
     fresh_docs = {}
     for path in args.ingest:
-        try:
-            bench = infer_bench(path)
-            with open(path) as handle:
-                fresh_docs[bench] = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
+        bench = infer_bench(path)
+        with open(path) as handle:
+            fresh_docs[bench] = json.load(handle)
     if not benches:
         benches = list(fresh_docs)
     if not benches:
-        print("error: nothing to check; pass --all, --bench, or --ingest",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("nothing to check; pass --all, --bench, or --ingest")
     unknown = [b for b in benches if b not in BENCHMARKS]
     if unknown:
-        print(f"error: unknown benchmark(s): {', '.join(unknown)} "
-              f"(see --list)", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"unknown benchmark(s): {', '.join(unknown)} "
+                         f"(see --list)")
 
     diff = perfdiff(
         benches,
@@ -927,13 +872,24 @@ def cmd_perfdiff(args):
 
 
 def main(argv=None):
+    """Run one command; returns its exit code.
+
+    The CLI's one error boundary: a command raises ``ReproError`` (bad
+    SQL, a failed repair), ``OSError`` (a file, a socket, a port) or
+    ``ValueError`` (a bad input or setting) with the message to show,
+    and this prints it as ``error: <message>`` and exits 2.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     # Backward compatibility: flag-first invocations are the historic
     # one-shot interface and route to the ``hint`` subcommand.
     if argv and argv[0] not in COMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "hint")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.core.bounds import create_bounds
 from repro.core.minfix import min_fix, min_fix_pos
+from repro.core.table_mapping import jaccard
 from repro.logic.formulas import And, FALSE, Not, Or, TRUE, conj, disj, neg
 from repro.logic.paths import paths_under
 
@@ -136,7 +137,7 @@ def distribute_fixes(combined_fix, originals, is_and):
         clause_sig = _atom_signature(clause)
         best, best_score = None, -1.0
         for i in indices:
-            score = _jaccard(clause_sig, signatures[i])
+            score = jaccard(clause_sig, signatures[i])
             if score > best_score:
                 best, best_score = i, score
         if best_score <= 0.0:
@@ -175,10 +176,3 @@ def _atom_signature(formula):
             if isinstance(side, Const):
                 out.add(f"const:{side}")
     return out
-
-
-def _jaccard(a, b):
-    if not a and not b:
-        return 1.0
-    union = a | b
-    return len(a & b) / len(union) if union else 0.0

@@ -57,7 +57,7 @@ def apply_from_fix(working, target, delta):
     canonical_names = {e.table.lower(): e.table for e in target.from_entries}
     for table, count in delta.missing.items():
         for _ in range(count):
-            alias = _fresh_alias(table, used)
+            alias = fresh_alias(table, used)
             used.add(alias)
             entries.append(FromEntry(canonical_names.get(table, table), alias))
 
@@ -68,7 +68,9 @@ def apply_from_fix(working, target, delta):
     return query
 
 
-def _fresh_alias(table, used):
+def fresh_alias(table, used):
+    """``table`` lowercased, or with the first ``_2``, ``_3``, ... suffix
+    that makes it an alias outside ``used``."""
     base = table.lower()
     if base not in used:
         return base

@@ -64,14 +64,14 @@ class AliasSignature:
         total_wh = 0.0
         for attr in attributes:
             for op in SIGNATURE_OPS:
-                total_wh += _jaccard(
+                total_wh += jaccard(
                     self.where_having.get((attr, op), frozenset()),
                     other.where_having.get((attr, op), frozenset()),
                 )
         wh = total_wh / (len(attributes) * len(SIGNATURE_OPS))
-        gb = _jaccard(self.group_by, other.group_by)
+        gb = jaccard(self.group_by, other.group_by)
         sel = sum(
-            _jaccard(
+            jaccard(
                 self.select.get(attr, frozenset()),
                 other.select.get(attr, frozenset()),
             )
@@ -80,7 +80,8 @@ class AliasSignature:
         return wh + gb + sel
 
 
-def _jaccard(a, b):
+def jaccard(a, b):
+    """Jaccard similarity of two sets; 1.0 when both are empty."""
     if not a and not b:
         return 1.0
     union = a | b

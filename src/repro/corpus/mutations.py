@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
+from repro.core.from_stage import fresh_alias
 from repro.errors import ReproError
 from repro.logic.formulas import And, Comparison, TRUE, conj
 from repro.logic.paths import all_paths, replace_at
@@ -96,16 +97,6 @@ def _scope_vars(query, catalog):
         for column in table.columns:
             out.append(Var(f"{entry.alias}.{column.name.lower()}", column.type))
     return out
-
-
-def _fresh_alias(table, used):
-    base = table.lower()
-    if base not in used:
-        return base
-    index = 2
-    while f"{base}_{index}" in used:
-        index += 1
-    return f"{base}_{index}"
 
 
 def _referenced_columns(query, alias):
@@ -404,7 +395,7 @@ def _from_extra_table(query, rng, catalog):
         return None
     table = rng.choice(tables)
     used = {e.alias for e in query.from_entries}
-    alias = _fresh_alias(table, used)
+    alias = fresh_alias(table, used)
     entries = list(query.from_entries)
     entries.append(FromEntry(table, alias))
     mutated = replace(query, from_entries=tuple(entries))
@@ -418,7 +409,7 @@ def _from_duplicate_table(query, rng, catalog):
         return None
     entry = rng.choice(list(query.from_entries))
     used = {e.alias for e in query.from_entries}
-    alias = _fresh_alias(entry.table, used)
+    alias = fresh_alias(entry.table, used)
     entries = list(query.from_entries)
     entries.append(FromEntry(entry.table, alias))
     mutated = replace(query, from_entries=tuple(entries))

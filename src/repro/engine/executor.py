@@ -157,19 +157,13 @@ def grouped_rows(query, database):
     for env in rows:
         key = tuple(eval_term(term, env) for term in query.group_by)
         groups.setdefault(key, []).append(env)
-    return sorted(groups.items(), key=lambda kv: _sort_key(kv[0]))
+    return sorted(groups.items(), key=lambda kv: _row_key(kv[0]))
 
 
 def _has_agg(query):
     if query.having.has_aggregate():
         return True
     return any(term.has_aggregate() for term in query.select)
-
-
-def _sort_key(values):
-    return tuple(
-        (0, float(v)) if isinstance(v, Fraction) else (1, str(v)) for v in values
-    )
 
 
 def _aggregate_value(agg, envs):

@@ -7,7 +7,7 @@ Three pieces (see ``docs/observability.md``):
   guard with ``TRACER.enabled``.  A trace is opened per request/CLI run
   with ``with TRACER.trace("grade") as handle:``.
 * :data:`REGISTRY` -- the process-wide :class:`MetricsRegistry` holding
-  service-level counters/gauges/histograms, rendered on ``/metrics``.
+  service-level counters and histograms, rendered on ``/metrics``.
 * :mod:`repro.obs.export` -- Prometheus text rendering of scrape-time
   families (the existing solver/session/cache counters, re-homed without
   renaming their public keys) and a text-format validator.
@@ -22,16 +22,10 @@ Alongside them:
   the committed ``BENCH_*.json`` files (``repro perfdiff``).
 """
 
-from repro.obs.export import (
-    KNOWN_ROUTES,
-    bounded_route,
-    parse_prometheus_text,
-    service_metric_families,
-)
+from repro.obs.export import parse_prometheus_text, service_metric_families
 from repro.obs.journal import JOURNAL, Journal
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     DEFAULT_TIME_BUCKETS,
@@ -65,15 +59,12 @@ __all__ = [
     "mean_effort",
     "merge_effort",
     "record_route_effort",
-    "KNOWN_ROUTES",
-    "bounded_route",
     "Tracer",
     "Trace",
     "TraceHandle",
     "Span",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_TIME_BUCKETS",
     "log_buckets",

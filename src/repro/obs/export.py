@@ -17,33 +17,6 @@ from __future__ import annotations
 import math
 import re
 
-#: The bounded route-label set for HTTP metric families.  Everything
-#: else (typo'd paths, scanners, probes) collapses into ``other`` at
-#: record time so request-path cardinality can never grow the registry.
-KNOWN_ROUTES = frozenset(
-    {
-        "/assignments",
-        "/grade",
-        "/witness",
-        "/stats",
-        "/healthz",
-        "/metrics",
-        "/debug/journal",
-    }
-)
-
-
-def bounded_route(path):
-    """Collapse an arbitrary request path into the bounded label set.
-
-    The query string is stripped before matching (``/debug/journal?n=5``
-    records as ``/debug/journal``); anything outside
-    :data:`KNOWN_ROUTES` records as ``other``.
-    """
-    route = str(path).split("?", 1)[0]
-    return route if route in KNOWN_ROUTES else "other"
-
-
 _METRIC_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _SAMPLE_RE = re.compile(
     rf"^(?P<name>{_METRIC_NAME})"

@@ -1,9 +1,8 @@
-"""Counters, gauges, and log-bucketed histograms, rendered for Prometheus.
+"""Counters and log-bucketed histograms, rendered for Prometheus.
 
 A :class:`MetricsRegistry` owns a set of named metrics behind one lock:
 
 * :class:`Counter` -- monotone float/int sums, optionally labeled;
-* :class:`Gauge` -- last-written values (``set``/``inc``);
 * :class:`Histogram` -- log-bucketed observation counts plus sum/count,
   from which p50/p95/p99 are derivable (:meth:`Histogram.quantile`).
 
@@ -145,27 +144,6 @@ class Counter(_Metric):
             return self._values.get(key, 0)
 
 
-class Gauge(_Metric):
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def set(self, value, **labels):
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = value
-
-    def inc(self, amount=1, **labels):
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
-
-    def value(self, **labels):
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0)
-
-
 class Histogram(_Metric):
     """Log-bucketed observation histogram (cumulative on render).
 
@@ -272,9 +250,6 @@ class MetricsRegistry:
 
     def counter(self, name, help="", labelnames=()):
         return self._register(Counter, name, help, labelnames)
-
-    def gauge(self, name, help="", labelnames=()):
-        return self._register(Gauge, name, help, labelnames)
 
     def histogram(self, name, help="", labelnames=(),
                   buckets=DEFAULT_TIME_BUCKETS):

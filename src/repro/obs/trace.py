@@ -197,9 +197,6 @@ class TraceHandle:
             "tree": _build_tree(spans),
         }
 
-    def tree(self):
-        return _build_tree(self._span_dicts())
-
     def render(self):
         """Indented one-line-per-span rendering (CLI ``--trace``)."""
         lines = []

@@ -18,7 +18,6 @@ one LRU budget and eviction policy.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 
@@ -105,68 +104,11 @@ class ArtifactCache:
         with self._lock:
             return key in self._entries
 
-    # -- disk spill -----------------------------------------------------
-
-    def save(self, path):
-        """Spill every cached entry to a JSON file; returns the count.
-
-        The file is ``{"version": 2, "entries": [[key, artifact], ...]}``,
-        each pair encoded by :func:`repro.service.serialize.to_obj` and
-        written oldest-first, so a later :meth:`load` reproduces the LRU
-        order exactly.  An entry the codec cannot encode (an object of a
-        class outside its registry) is skipped rather than failing the
-        spill.  The write is atomic (temp file + rename), so a crash
-        mid-save never truncates an existing spill.
-        """
-        import os
-
-        from repro.service.serialize import VERSION, to_obj
-
+    def items(self):
+        """A snapshot of the ``(key, artifact)`` pairs, least recently
+        used first."""
         with self._lock:
-            entries = list(self._entries.items())
-        payload = []
-        for entry in entries:
-            try:
-                payload.append(to_obj(entry))
-            except TypeError:
-                continue
-        # json.dumps encodes in C; json.dump streams through pure Python.
-        text = json.dumps({"version": VERSION, "entries": payload})
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-        return len(payload)
-
-    def load(self, path):
-        """Restore entries saved by :meth:`save`; returns the count.
-
-        Restored entries go through :meth:`put`, so the cache bound and
-        eviction policy apply as if they had just been computed.  The
-        restored canonical keys compare equal to freshly canonicalized
-        submissions, which is what makes cross-restart reuse work.
-        Anything but a version-2 spill raises ``ValueError``, restoring
-        nothing.
-        """
-        from repro.service.serialize import VERSION, from_obj
-
-        with open(path) as handle:
-            payload = json.load(handle)
-        try:
-            if payload["version"] != VERSION:
-                raise ValueError(f"version {payload['version']!r}")
-            restored = dict(from_obj(payload["entries"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"not a version-{VERSION} artifact spill ({exc})"
-            ) from exc
-        for key, artifact in restored.items():
-            self.put(key, artifact)
-        return len(restored)
+            return list(self._entries.items())
 
     @property
     def hit_rate(self):

@@ -32,8 +32,9 @@ from repro.logic.terms import AggCall, Arith, Const, Neg, Var
 from repro.query import FromEntry, ResolvedQuery
 from repro.witness.build import Witness
 
-#: Format version written by ``ArtifactCache.save``; ``load`` accepts no other.
-VERSION = 2
+#: Format version written by ``AssignmentSession.save``; ``load`` accepts
+#: no other.
+VERSION = 3
 
 #: The classes a spill may hold, by the name it records for them.
 CLASSES = {

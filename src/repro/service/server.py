@@ -2,7 +2,8 @@
 
 A :class:`HintService` is a registry of
 :class:`~repro.service.session.AssignmentSession` objects; the handler
-exposes it over three routes served by a ``ThreadingHTTPServer``:
+exposes it over the routes declared in :data:`ROUTES`, served by a
+``ThreadingHTTPServer``:
 
 * ``POST /assignments`` -- register a target query; body
   ``{"schema": {...}, "target_sql": "..."}`` (schema in the same format as
@@ -70,11 +71,7 @@ from repro.catalog import Catalog
 from repro.errors import ReproError
 from repro.obs import JOURNAL, REGISTRY, TRACER
 from repro.obs.effort import record_route_effort
-from repro.obs.export import (
-    KNOWN_ROUTES,
-    bounded_route,
-    service_metric_families,
-)
+from repro.obs.export import service_metric_families
 from repro.obs.metrics import render_families
 from repro.service.deadline import Deadline, DeadlineExceeded
 from repro.service.faults import FAULTS
@@ -88,8 +85,9 @@ __all__ = [
     "HintHTTPServer",
     "HintRequestHandler",
     "HintService",
-    "KNOWN_ROUTES",  # re-exported from repro.obs.export (canonical home)
+    "KNOWN_ROUTES",
     "MAX_BODY_BYTES",
+    "ROUTES",
     "ServiceError",
     "bounded_route",
     "http_stats",
@@ -120,20 +118,24 @@ _SHED = REGISTRY.counter(
 )
 
 
-def _setting(name, value, *, integer=False, positive=False, optional=False):
+def _setting(name, value, *, integer=False, positive=False, optional=False,
+             below=math.inf):
     """``value`` if it is a finite number (an int, never a bool, when
-    ``integer``) that is > 0 when ``positive`` and >= 0 otherwise, or None
-    when ``optional``; ``ValueError`` for anything else, NaN included."""
+    ``integer``) below ``below`` that is > 0 when ``positive`` and >= 0
+    otherwise, or None when ``optional``; ``ValueError`` for anything
+    else, NaN included."""
     kinds = int if integer else (int, float)
     if (value is None and optional) or (
         isinstance(value, kinds)
         and not isinstance(value, bool)
         and (value > 0 if positive else value >= 0)
-        and value < math.inf
+        and value < below
     ):
         return value
     kind = "an integer" if integer else "a finite number"
     bound = "> 0" if positive else ">= 0"
+    if below < math.inf:
+        bound += f" and < {below}"
     none = " or None" if optional else ""
     raise ValueError(f"{name} must be {kind} {bound}{none}, got {value!r}")
 
@@ -345,14 +347,14 @@ def http_stats():
 
 
 class CacheSpiller:
-    """Periodic background spill of an :class:`ArtifactCache` to disk.
+    """Periodic background spill of a session's artifact cache to disk.
 
     Until now the cache was load-at-start/save-at-shutdown only, so a
     crash lost every artifact computed since startup.  The spiller wakes
     every ``interval`` seconds and rewrites the spill file through
-    :meth:`ArtifactCache.save`, whose temp-file + rename write is atomic:
-    a crash mid-spill leaves the previous snapshot intact, and a restart
-    loses at most one interval of work.
+    :meth:`AssignmentSession.save`, whose temp-file + rename write is
+    atomic: a crash mid-spill leaves the previous snapshot intact, and a
+    restart loses at most one interval of work.
 
     Idle intervals are skipped via a cheap change marker -- every cache
     mutation in the serve path is preceded by a miss (and evictions move
@@ -361,8 +363,8 @@ class CacheSpiller:
     ``interval`` must be finite and > 0, else ``ValueError``.
     """
 
-    def __init__(self, cache, path, interval):
-        self.cache = cache
+    def __init__(self, session, path, interval):
+        self.session = session
         self.path = path
         self.interval = _setting("interval", interval, positive=True)
         self.spills = 0  # completed (non-skipped) spills
@@ -379,7 +381,7 @@ class CacheSpiller:
         )
 
     def _marker(self):
-        stats = self.cache.stats()
+        stats = self.session.cache.stats()
         return (stats["size"], stats["misses"], stats["evictions"])
 
     def start(self):
@@ -442,7 +444,7 @@ class CacheSpiller:
             FAULTS.sleep("spill.stall")
             FAULTS.raise_io("spill.io")
         started = time.perf_counter()
-        count = self.cache.save(self.path)
+        count = self.session.save(self.path)
         self.last_duration_ms = round(
             (time.perf_counter() - started) * 1000.0, 3
         )
@@ -477,7 +479,11 @@ class CacheSpiller:
 
 
 class HintRequestHandler(BaseHTTPRequestHandler):
-    """JSON request handler; the service lives on ``self.server.service``."""
+    """JSON request handler; the service lives on ``self.server.service``.
+
+    Each request is answered by the handler :data:`ROUTES` declares for
+    its method and path, through :meth:`_respond`.
+    """
 
     protocol_version = "HTTP/1.1"
     quiet = True
@@ -494,9 +500,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         an idle keep-alive socket) raises ``TimeoutError`` instead of
         pinning this handler thread forever.
         """
-        read_timeout = getattr(self.server, "read_timeout", None)
-        if read_timeout is not None:
-            self.timeout = read_timeout
+        self.timeout = self.server.read_timeout
         super().setup()
 
     # -- plumbing -------------------------------------------------------
@@ -514,7 +518,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         body goes out, so a client that has read the response already
         sees them; the latency and ``http.finish`` include the write.
         """
-        route = getattr(self, "_route", "other")
+        route = self._route
         _HTTP_REQUESTS.inc(route=route, status=str(status))
         if status >= 400:
             _HTTP_ERRORS.inc(route=route, status=str(status))
@@ -526,17 +530,13 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-        started = getattr(self, "_started", None)
-        elapsed = (
-            time.perf_counter() - started if started is not None else None
-        )
-        if elapsed is not None:
-            _HTTP_LATENCY.observe(elapsed, route=route)
+        elapsed = time.perf_counter() - self._started
+        _HTTP_LATENCY.observe(elapsed, route=route)
         JOURNAL.record(
             "http.finish",
             route=route,
             status=status,
-            ms=round(elapsed * 1000.0, 3) if elapsed is not None else None,
+            ms=round(elapsed * 1000.0, 3),
         )
 
     def _content_length(self):
@@ -613,9 +613,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
     def _record_read_timeout(self):
         self.close_connection = True
         _SHED.inc(reason="read_timeout")
-        JOURNAL.record(
-            "http.read_timeout", route=getattr(self, "_route", "other")
-        )
+        JOURNAL.record("http.read_timeout", route=self._route)
 
     def _require(self, payload, key, types=str):
         value = payload.get(key)
@@ -623,14 +621,23 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, f"field {key!r} is required")
         return value
 
-    def _dispatch(self, handler):
+    def _respond(self, handler):
+        """Run ``handler`` and send the ``(status, payload)`` it returns.
+
+        The one place an exception becomes a status: a
+        :class:`ServiceError` carries its own, an expired deadline is 408
+        (reachable only when the budget was spent before the pipeline
+        started; mid-run expiry degrades to a partial 200 instead), any
+        other :class:`ReproError` is 400, and anything else is 500,
+        journaled as ``http.exception`` with the flight recording dumped
+        to stderr.  A ``str`` payload goes out as Prometheus text, any
+        other as JSON.
+        """
         try:
-            status, payload = handler()
+            status, payload = handler(self)
         except ServiceError as error:
             status, payload = error.status, {"error": str(error)}
         except DeadlineExceeded as error:
-            # Only reachable when the budget was spent before the pipeline
-            # started (mid-run expiry degrades to a partial 200 instead).
             status, payload = 408, {
                 "error": str(error),
                 "kind": "DeadlineExceeded",
@@ -646,53 +653,23 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             # server log next to where the traceback would land.
             JOURNAL.record(
                 "http.exception",
-                route=getattr(self, "_route", "other"),
+                route=self._route,
                 exception=type(error).__name__,
                 error=str(error),
             )
             JOURNAL.dump(
-                reason=f"unhandled {type(error).__name__} on "
-                f"{getattr(self, '_route', 'other')}"
+                reason=f"unhandled {type(error).__name__} on {self._route}"
             )
-        self._send_json(status, payload)
-
-    def _admitted(self, handler):
-        """Run a work-route handler under admission control.
-
-        Shed requests get 503 + ``Retry-After`` without *grading*
-        anything; the (bounded, usually already-buffered) request body is
-        still drained first -- closing a socket with unread bytes sends a
-        TCP RST that can destroy the in-flight 503 before the client
-        reads it.  The connection is then closed to keep keep-alive
-        framing honest.  GET routes bypass admission entirely --
-        stats/metrics/health must answer precisely when the server is
-        saturated.
-        """
-        admission = getattr(self.server, "admission", None)
-        if admission is None:
-            self._dispatch(handler)
-            return
-        verdict = admission.acquire()
-        if verdict != "admitted":
-            _SHED.inc(reason=verdict)
-            JOURNAL.record(
-                "admission.shed", route=self._route, reason=verdict
+        if isinstance(payload, str):
+            self._send_body(
+                status,
+                payload.encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
             )
-            self._drain_body()
-            self.close_connection = True
-            retry_after = "5" if verdict == "draining" else "1"
-            self._send_json(
-                503,
-                {"error": f"server busy ({verdict})", "reason": verdict},
-                extra_headers={"Retry-After": retry_after},
-            )
-            return
-        try:
-            self._dispatch(handler)
-        finally:
-            admission.release()
+        else:
+            self._send_json(status, payload)
 
-    # -- routes ---------------------------------------------------------
+    # -- dispatch -------------------------------------------------------
 
     def do_POST(self):
         self._handle("POST")
@@ -701,7 +678,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         self._handle("GET")
 
     def _handle(self, method):
-        """Per-request bookkeeping around routing.
+        """Per-request bookkeeping around :meth:`_route_request`.
 
         Stamps the latency start and the metric route label, and -- when
         the server was started with ``slow_ms`` -- wraps the whole request
@@ -713,7 +690,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         # bounded set, query string stripped, no matter what was requested.
         self._route = bounded_route(self.path)
         JOURNAL.record("http.start", method=method, route=self._route)
-        slow_ms = getattr(self.server, "slow_ms", None)
+        slow_ms = self.server.slow_ms
         if slow_ms is None:
             self._route_request(method)
             return
@@ -736,30 +713,49 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             )
 
     def _route_request(self, method):
-        path, _, query = self.path.partition("?")
-        if method == "POST":
-            if path == "/assignments":
-                self._admitted(self._post_assignment)
-            elif path == "/grade":
-                self._admitted(self._post_grade)
-            elif path == "/witness":
-                self._admitted(self._post_witness)
-            else:
-                self._drain_body()
-                self._send_json(404, {"error": f"no such route {self.path}"})
-        else:
-            if path == "/stats":
-                self._dispatch(self._get_stats)
-            elif path == "/metrics":
-                self._get_metrics()
-            elif path == "/debug/journal":
-                self._dispatch(lambda: self._get_journal(query))
-            elif path == "/healthz":
-                self._drain_body()
-                self._send_json(200, {"ok": True})
-            else:
-                self._drain_body()
-                self._send_json(404, {"error": f"no such route {self.path}"})
+        """Answer one request with its :data:`ROUTES` handler.
+
+        GET routes and unknown requests drain any body (keep-alive
+        framing) and answer at once: stats, metrics and health bypass
+        admission so they answer precisely when the server is saturated.
+        POST routes are work; they read their own body and run under
+        admission control.  A shed request gets 503 + ``Retry-After``
+        without *grading* anything; its (bounded, usually
+        already-buffered) body is still drained first -- closing a socket
+        with unread bytes sends a TCP RST that can destroy the in-flight
+        503 before the client reads it -- and the connection is then
+        closed to keep keep-alive framing honest.
+        """
+        handler = ROUTES.get((method, self._route))
+        if handler is None or method != "POST":
+            self._drain_body()
+            self._respond(handler or HintRequestHandler._no_route)
+            return
+        admission = self.server.admission
+        verdict = admission.acquire()
+        if verdict != "admitted":
+            _SHED.inc(reason=verdict)
+            JOURNAL.record(
+                "admission.shed", route=self._route, reason=verdict
+            )
+            self._drain_body()
+            self.close_connection = True
+            retry_after = "5" if verdict == "draining" else "1"
+            self._send_json(
+                503,
+                {"error": f"server busy ({verdict})", "reason": verdict},
+                extra_headers={"Retry-After": retry_after},
+            )
+            return
+        try:
+            self._respond(handler)
+        finally:
+            admission.release()
+
+    # -- routes: each returns (status, payload); see ROUTES -------------
+
+    def _no_route(self):
+        return 404, {"error": f"no such route {self.path}"}
 
     def _post_assignment(self):
         payload = self._read_json()
@@ -843,7 +839,7 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         latency fleet-wide.
         """
         raw = payload.get("timeout_ms")
-        cap = getattr(self.server, "max_timeout_ms", None)
+        cap = self.server.max_timeout_ms
         if raw is None:
             return Deadline.after_ms(cap) if cap is not None else None
         try:
@@ -879,22 +875,27 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _get_stats(self):
-        self._drain_body()
         stats = self.server.service.stats()
         stats["http"] = http_stats()
-        spiller = getattr(self.server, "spiller", None)
-        if spiller is not None:
-            stats["spill"] = spiller.stats()
-        admission = getattr(self.server, "admission", None)
-        if admission is not None:
-            stats["admission"] = admission.stats()
+        if self.server.spiller is not None:
+            stats["spill"] = self.server.spiller.stats()
+        stats["admission"] = self.server.admission.stats()
         return 200, stats
 
-    def _get_journal(self, query):
+    def _get_metrics(self):
+        """Prometheus text exposition: registry metrics plus the
+        scrape-time per-assignment solver/cache/session families."""
+        return 200, REGISTRY.render() + render_families(
+            service_metric_families(self.server.service)
+        )
+
+    def _get_healthz(self):
+        return 200, {"ok": True}
+
+    def _get_journal(self):
         """``GET /debug/journal?n=K``: the flight recorder's tail as JSON."""
-        self._drain_body()
         n = None
-        for part in query.split("&"):
+        for part in self.path.partition("?")[2].split("&"):
             key, _, value = part.partition("=")
             if key == "n":
                 try:
@@ -903,22 +904,37 @@ class HintRequestHandler(BaseHTTPRequestHandler):
                     raise ServiceError(400, "n must be an integer")
         return 200, {"journal": JOURNAL.stats(), "events": JOURNAL.tail(n)}
 
-    def _get_metrics(self):
-        """Prometheus text exposition: registry metrics plus the
-        scrape-time per-assignment solver/cache/session families."""
-        self._drain_body()
-        try:
-            text = REGISTRY.render() + render_families(
-                service_metric_families(self.server.service)
-            )
-        except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"internal error: {error}"})
-            return
-        self._send_body(
-            200,
-            text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
+
+#: Every route the service answers, each declared once: ``(method,
+#: path)`` -> the handler, which returns ``(status, payload)``.  POST
+#: routes are work and run under admission control; GET routes bypass
+#: it.  The metric route labels (:data:`KNOWN_ROUTES`) and the start-up
+#: banner of :func:`serve` derive from this table, the banner in its order.
+ROUTES = {
+    ("POST", "/assignments"): HintRequestHandler._post_assignment,
+    ("POST", "/grade"): HintRequestHandler._post_grade,
+    ("POST", "/witness"): HintRequestHandler._post_witness,
+    ("GET", "/stats"): HintRequestHandler._get_stats,
+    ("GET", "/metrics"): HintRequestHandler._get_metrics,
+    ("GET", "/healthz"): HintRequestHandler._get_healthz,
+    ("GET", "/debug/journal"): HintRequestHandler._get_journal,
+}
+
+#: The bounded route-label set for HTTP metric families.  Everything
+#: else (typo'd paths, scanners, probes) collapses into ``other`` at
+#: record time so request-path cardinality can never grow the registry.
+KNOWN_ROUTES = frozenset(path for _, path in ROUTES)
+
+
+def bounded_route(path):
+    """Collapse an arbitrary request path into the bounded label set.
+
+    The query string is stripped before matching (``/debug/journal?n=5``
+    records as ``/debug/journal``); anything outside
+    :data:`KNOWN_ROUTES` records as ``other``.
+    """
+    route = path.partition("?")[0]
+    return route if route in KNOWN_ROUTES else "other"
 
 
 class HintHTTPServer(ThreadingHTTPServer):
@@ -951,13 +967,9 @@ class HintHTTPServer(ThreadingHTTPServer):
         drained fully, False when the timeout left work in flight.
         """
         JOURNAL.record("server.drain.start")
-        admission = getattr(self, "admission", None)
-        if admission is not None:
-            admission.start_drain()
+        self.admission.start_drain()
         self.shutdown()  # stop serve_forever; no new connections accepted
-        drained = (
-            admission.wait_idle(timeout) if admission is not None else True
-        )
+        drained = self.admission.wait_idle(timeout)
         JOURNAL.record("server.drain.end", drained=drained)
         return drained
 
@@ -967,8 +979,9 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
                 max_timeout_ms=None):
     """Build (but do not start) the threading HTTP server.
 
-    ``port=0`` binds an ephemeral port (tests); the bound address is on
-    ``server.server_address``.  ``slow_ms`` enables per-request tracing
+    ``port`` is an integer in 0..65535; ``port=0`` binds an ephemeral
+    port (tests), and the bound address is on ``server.server_address``.
+    ``slow_ms`` enables per-request tracing
     with slow-request logging (see :class:`HintRequestHandler._handle`).
     ``spiller`` is exposed on the server so ``GET /stats`` can report the
     ``spill`` block (the caller still owns start/stop).
@@ -979,8 +992,10 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
     ``read_timeout`` puts a socket timeout on request reads so stalled
     clients get 408/disconnected instead of pinning handler threads;
     ``max_timeout_ms`` caps (and defaults) per-request ``timeout_ms``
-    grade budgets.  A bad setting raises ``ValueError`` before the bind.
+    grade budgets.  A bad setting raises ``ValueError`` before the bind;
+    a failed bind raises its ``OSError``.
     """
+    _setting("port", port, integer=True, below=65536)
     _setting("slow_ms", slow_ms, optional=True)
     _setting("read_timeout", read_timeout, positive=True, optional=True)
     _setting("max_timeout_ms", max_timeout_ms, positive=True, optional=True)
@@ -995,14 +1010,14 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
 
 
 def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
-          spiller=None, slow_ms=None, admission=None, read_timeout=None,
-          max_timeout_ms=None, drain_timeout=10.0):
+          drain_timeout=10.0, **settings):
     """Run the API server until interrupted; returns the exit code.
 
-    ``spiller`` (a :class:`CacheSpiller`) is started alongside the server
-    and stopped -- after a final flush attempt -- on the way out.
-    ``slow_ms`` logs any request slower than the threshold together with
-    its rendered span tree.
+    ``settings`` go to :func:`make_server`.  Its ``spiller`` (a
+    :class:`CacheSpiller`) is started alongside the server and stopped --
+    after a final flush attempt -- on the way out; ``slow_ms`` logs any
+    request slower than the threshold together with its rendered span
+    tree.
 
     Shutdown is graceful: on interrupt the admission controller starts
     shedding (503 ``draining``), in-flight requests get up to
@@ -1013,19 +1028,18 @@ def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
     """
     _setting("drain_timeout", drain_timeout)
     HintRequestHandler.quiet = quiet
-    server = make_server(host, port, service, slow_ms=slow_ms,
-                         spiller=spiller, admission=admission,
-                         read_timeout=read_timeout,
-                         max_timeout_ms=max_timeout_ms)
+    server = make_server(host, port, service, **settings)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro hint service listening on http://{bound_host}:{bound_port}")
-    print("routes: POST /assignments  POST /grade  POST /witness  "
-          "GET /stats  GET /metrics  GET /healthz  GET /debug/journal")
+    print("routes: "
+          + "  ".join(f"{method} {path}" for method, path in ROUTES))
+    spiller = server.spiller
     if spiller is not None:
         spiller.start()
         print(f"cache spill every {spiller.interval:g}s -> {spiller.path}")
-    if slow_ms is not None:
-        print(f"tracing requests; logging those slower than {slow_ms:g}ms")
+    if server.slow_ms is not None:
+        print(f"tracing requests; logging those slower than "
+              f"{server.slow_ms:g}ms")
     controller = server.admission
     if controller.max_inflight is not None:
         print(f"admission: {controller.max_inflight} in flight, "
@@ -1033,7 +1047,7 @@ def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
               f"(wait {controller.queue_timeout:g}s)")
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:
         print("\nshutting down (draining in-flight requests)")
     finally:
         # serve_forever has exited, so drain's shutdown() returns at once;

@@ -20,6 +20,8 @@ aliases get textually consistent hints.
 
 from __future__ import annotations
 
+import json
+import os
 import re
 import threading
 import time
@@ -30,6 +32,7 @@ from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot
 from repro.service.cache import ArtifactCache, canonicalize
+from repro.service.serialize import VERSION, from_obj, to_obj
 from repro.solver import Solver
 from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import (
@@ -466,6 +469,73 @@ class AssignmentSession:
         if witness_entry is not None:
             self.cache.put(("witness", canonical), witness_entry)
             self.witness_runs += 1
+
+    # -- disk spill -----------------------------------------------------
+
+    def save(self, path):
+        """Spill the artifact cache to a JSON file; returns the count.
+
+        The file is ``{"version": 3, "target": ..., "max_sites": N,
+        "entries": [[key, artifact], ...]}``: the resolved target and the
+        repair-site cap every artifact was graded against, then the cache
+        entries oldest-first, so a later :meth:`load` reproduces the LRU
+        order exactly.  :func:`repro.service.serialize.to_obj` encodes
+        every value; an entry it cannot encode (an object of a class
+        outside its registry) is skipped rather than failing the spill.
+        The write is atomic (temp file + rename), so a crash mid-save
+        never truncates an existing spill.
+        """
+        entries = []
+        for entry in self.cache.items():
+            try:
+                entries.append(to_obj(entry))
+            except TypeError:
+                continue
+        # json.dumps encodes in C; json.dump streams through pure Python.
+        text = json.dumps({
+            "version": VERSION,
+            "target": to_obj(self.target),
+            "max_sites": self.max_sites,
+            "entries": entries,
+        })
+        tmp_path = f"{path}.tmp.{os.getpid()}"
+        try:
+            with open(tmp_path, "w") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+        return len(entries)
+
+    def load(self, path):
+        """Restore the entries :meth:`save` wrote; returns the count.
+
+        Restored entries go through the cache's ``put``, so its bound and
+        eviction policy apply as if they had just been computed.  Their
+        canonical keys compare equal to freshly canonicalized
+        submissions, which is what makes cross-restart reuse work.  A
+        file that is not a version-3 spill, or whose artifacts were
+        graded against another target or ``max_sites`` (they would be
+        wrong answers here), raises ``ValueError`` and restores nothing.
+        """
+        with open(path) as handle:
+            payload = json.load(handle)
+        try:
+            if payload["version"] != VERSION:
+                raise ValueError(f"version {payload['version']!r}")
+            target = from_obj(payload["target"])
+            max_sites = payload["max_sites"]
+            restored = dict(from_obj(payload["entries"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"not a version-{VERSION} artifact spill ({exc})"
+            ) from exc
+        if (target, max_sites) != (self.target, self.max_sites):
+            raise ValueError("graded against another target or max_sites")
+        for key, artifact in restored.items():
+            self.cache.put(key, artifact)
+        return len(restored)
 
     # ------------------------------------------------------------------
 

@@ -19,7 +19,6 @@ import pytest
 from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY
 from repro.service import (
-    ArtifactCache,
     AssignmentSession,
     GradeError,
     grade_batch,
@@ -36,6 +35,7 @@ from repro.service.server import (
     make_server,
     serve,
 )
+from repro.workloads import beers
 
 TARGET = "SELECT beer FROM Serves WHERE price > 2"
 WRONG = "SELECT beer FROM Serves WHERE price >= 2"
@@ -456,12 +456,17 @@ INF = float("inf")
 
 
 def _spiller(interval):
-    return CacheSpiller(ArtifactCache(), "unused.json", interval)
+    session = AssignmentSession(beers.catalog(), TARGET)
+    return CacheSpiller(session, "unused.json", interval)
 
 
 #: setting -> (builds the object that stores it from one value, values it
 #: must reject, the ``repro serve`` flag and a value of it to reject).
 SERVE_SETTINGS = {
+    "port": (
+        lambda v: make_server(port=v),
+        [-1, 65536, 1.5, NAN, None, True, "80"], "--port", "99999",
+    ),
     "max_inflight": (
         lambda v: AdmissionController(max_inflight=v),
         [0, -1, 1.5, NAN, True, "2"], "--max-inflight", "0",
@@ -519,6 +524,18 @@ class TestServeSettings:
                 build(value)
         assert main(serve_argv + [flag, flag_value]) == 2
         assert f"error: {setting} must be" in capsys.readouterr().err
+
+    def test_taken_port_exits_2(self, capsys):
+        import socket
+
+        from repro.cli import main
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["serve", "--port", str(port), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_boundary_values_are_accepted(self):
         admission = AdmissionController(
@@ -642,7 +659,7 @@ class TestSpillerFaults:
         FAULTS.activate("spill.io")
         session = AssignmentSession(beers_catalog, TARGET)
         path = tmp_path / "cache.json"
-        spiller = CacheSpiller(session.cache, str(path), interval=3600)
+        spiller = CacheSpiller(session, str(path), interval=3600)
         session.grade(WRONG)  # dirty the cache
         # stop() without start(): the final flush hits the injected
         # OSError, which is swallowed and counted rather than raised.
@@ -664,7 +681,7 @@ class TestSpillerFaults:
         FAULTS.activate("spill.stall", s=20)
         session = AssignmentSession(beers_catalog, TARGET)
         path = tmp_path / "cache.json"
-        spiller = CacheSpiller(session.cache, str(path), interval=0.05)
+        spiller = CacheSpiller(session, str(path), interval=0.05)
         spiller.start()
         try:
             session.grade(WRONG)  # dirty the cache so the loop spills

@@ -145,7 +145,7 @@ class TestMetrics:
         c2 = reg.counter("x_total", "x", ("l",))
         assert c1 is c2
         with pytest.raises(ValueError):
-            reg.gauge("x_total")
+            reg.histogram("x_total")
         with pytest.raises(ValueError):
             reg.counter("x_total", "x", ("other",))
 

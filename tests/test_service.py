@@ -602,6 +602,26 @@ class TestMetricsEndpoint:
             == _counter(before, "repro_http_errors_total", **key) + 1
         )
 
+    def test_metrics_render_failure_is_the_common_500(
+        self, client, monkeypatch
+    ):
+        from repro.obs import JOURNAL, REGISTRY
+
+        def broken():
+            raise RuntimeError("render broke")
+
+        monkeypatch.setattr(REGISTRY, "render", broken)
+        JOURNAL.clear()
+        status, body = client.get("/metrics")
+        assert status == 500
+        assert body == {"error": "internal error: render broke"}
+        events = [e for e in JOURNAL.tail() if e["kind"] == "http.exception"]
+        assert [
+            {key: event[key] for key in ("route", "exception", "error")}
+            for event in events
+        ] == [{"route": "/metrics", "exception": "RuntimeError",
+               "error": "render broke"}]
+
     def test_http_stats_block(self, client):
         client.get("/healthz")
         status, stats = client.get("/stats")
@@ -821,21 +841,21 @@ class TestCacheDiskSpill:
         session.grade(WRONG)
         session.grade("SELECT beer FROM Serves WHERE price > 3")
         path = tmp_path / "cache.json"
-        saved = session.cache.save(str(path))
+        saved = session.save(str(path))
         assert saved == 2
-        restored = ArtifactCache()
+        restored = AssignmentSession(beers_catalog, TARGET)
         assert restored.load(str(path)) == 2
-        assert list(restored._entries) == list(session.cache._entries)
+        assert list(restored.cache._entries) == list(session.cache._entries)
 
     def test_restored_cache_serves_without_pipeline_runs(self, tmp_path,
                                                          beers_catalog):
         warm = AssignmentSession(beers_catalog, TARGET)
         first = warm.grade(WRONG, witness=True)
         path = tmp_path / "cache.json"
-        warm.cache.save(str(path))
+        warm.save(str(path))
 
         cold = AssignmentSession(beers_catalog, TARGET)
-        cold.cache.load(str(path))
+        cold.load(str(path))
         second = cold.grade(WRONG, witness=True)
         assert second.cached
         assert cold.pipeline_runs == 0
@@ -851,10 +871,10 @@ class TestCacheDiskSpill:
         canonical, _ = session.prepare(WRONG)
         session.cache.put(("witness", canonical), "__no_witness__")
         path = tmp_path / "cache.json"
-        session.cache.save(str(path))
-        restored = ArtifactCache()
+        session.save(str(path))
+        restored = AssignmentSession(beers_catalog, TARGET)
         restored.load(str(path))
-        assert restored.get(("witness", canonical)) == "__no_witness__"
+        assert restored.cache.get(("witness", canonical)) == "__no_witness__"
 
     def test_unknown_artifacts_skipped_not_fatal(self, tmp_path,
                                                  beers_catalog):
@@ -863,16 +883,16 @@ class TestCacheDiskSpill:
         canonical, _ = session.prepare(WRONG)
         session.cache.put(("mystery", canonical), object())
         path = tmp_path / "cache.json"
-        assert session.cache.save(str(path)) == 1  # the report alone
+        assert session.save(str(path)) == 1  # the report alone
 
     def test_restored_alpha_equivalent_submission_hits(self, tmp_path,
                                                        beers_catalog):
         warm = AssignmentSession(beers_catalog, TARGET)
         warm.grade(WRONG)
         path = tmp_path / "cache.json"
-        warm.cache.save(str(path))
+        warm.save(str(path))
         cold = AssignmentSession(beers_catalog, TARGET)
-        cold.cache.load(str(path))
+        cold.load(str(path))
         result = cold.grade(
             "select S.beer from Serves s WHERE s.price >= 2"
         )
@@ -910,37 +930,47 @@ class TestCacheDiskSpill:
         assert second.text(show_fixes=True) == first.text(show_fixes=True)
         assert second.witness == first.witness
 
+    #: Spill files ``load`` must refuse.  A ``"target"`` key stands for
+    #: the encoded target of the session that loads it, so only the
+    #: entries are malformed.
+    HEADER = {"version": 3, "target": None, "max_sites": 2}
     MALFORMED = {
         "top-level list": [],
         "zero denominator": {
-            "version": 2,
+            **HEADER,
             "entries": [["k", "v"], ["k2", {"f": [1, 0]}]],
         },
         "unknown class tag": {
-            "version": 2,
+            **HEADER,
             "entries": [["k", {"t": "Mystery", "x": 1}]],
         },
+        "no target": {"version": 3, "max_sites": 2, "entries": []},
         "version 1": {
             "version": 1,
             "entries": [
                 {"key": "k", "artifact": {"t": "str", "v": "__no_witness__"}}
             ],
         },
+        "version 2": {"version": 2, "entries": [["k", "__no_witness__"]]},
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_spill_is_value_error_and_serve_exits_2(
-        self, name, serve_argv, tmp_path, capsys, monkeypatch
+        self, name, serve_argv, tmp_path, capsys, monkeypatch, beers_catalog
     ):
         import repro.service.server as server_module
         from repro.cli import main
+        from repro.service.serialize import to_obj
 
+        session = AssignmentSession(beers_catalog, TARGET)
+        spill = self.MALFORMED[name]
+        if "target" in spill:
+            spill = {**spill, "target": to_obj(session.target)}
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps(self.MALFORMED[name]))
-        cache = ArtifactCache()
-        with pytest.raises(ValueError, match="version-2 artifact spill"):
-            cache.load(str(path))
-        assert len(cache) == 0  # nothing restored from a rejected file
+        path.write_text(json.dumps(spill))
+        with pytest.raises(ValueError, match="version-3 artifact spill"):
+            session.load(str(path))
+        assert len(session.cache) == 0  # nothing restored from a rejected file
 
         def must_not_serve(*args, **kwargs):
             raise AssertionError("served despite a malformed cache file")
@@ -948,6 +978,42 @@ class TestCacheDiskSpill:
         monkeypatch.setattr(server_module, "serve", must_not_serve)
         assert main(serve_argv) == 2
         assert f"cannot load {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, max_sites", [(WRONG, 2), (TARGET, 1)])
+    def test_spill_of_another_target_or_max_sites_restores_nothing(
+        self, target, max_sites, tmp_path, beers_catalog
+    ):
+        graded = AssignmentSession(beers_catalog, TARGET)
+        graded.grade(WRONG)
+        path = tmp_path / "cache.json"
+        graded.save(str(path))
+        session = AssignmentSession(beers_catalog, target, max_sites=max_sites)
+        with pytest.raises(ValueError, match="another target or max_sites"):
+            session.load(str(path))
+        assert len(session.cache) == 0
+        assert session.grade(target).all_passed
+
+    def test_serve_refuses_spill_of_another_target(
+        self, serve_argv, capsys, monkeypatch
+    ):
+        import repro.service.server as server_module
+        from repro.cli import main
+
+        def grade_wrong(host, port, service, **settings):
+            service.session("default").grade(WRONG)
+            return 0
+
+        monkeypatch.setattr(server_module, "serve", grade_wrong)
+        assert main(serve_argv) == 0
+        assert "saved 1 cached artifact(s)" in capsys.readouterr().out
+        # Restored under WRONG as the target, the report spilled for WRONG
+        # (graded against TARGET) would answer its own target's SQL as
+        # wrong.
+        argv = list(serve_argv)
+        argv[argv.index("--target-sql") + 1] = WRONG
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "another target" in err
 
 
 class TestWitnessFanout:
@@ -1006,29 +1072,29 @@ class TestWitnessFanout:
 
 
 class TestCacheSpiller:
-    def _loaded_keys(self, path):
-        return ArtifactCache(maxsize=64).load(path)
+    def _loaded_keys(self, path, catalog):
+        return AssignmentSession(catalog, TARGET, cache_size=64).load(path)
 
     def test_rejects_nonpositive_interval(self, tmp_path, beers_catalog):
         from repro.service.server import CacheSpiller
 
         session = AssignmentSession(beers_catalog, TARGET)
         with pytest.raises(ValueError):
-            CacheSpiller(session.cache, str(tmp_path / "c.json"), 0)
+            CacheSpiller(session, str(tmp_path / "c.json"), 0)
 
     def test_spill_skips_clean_writes_dirty(self, tmp_path, beers_catalog):
         from repro.service.server import CacheSpiller
 
         session = AssignmentSession(beers_catalog, TARGET)
         path = tmp_path / "cache.json"
-        spiller = CacheSpiller(session.cache, str(path), interval=3600)
+        spiller = CacheSpiller(session, str(path), interval=3600)
         # Clean cache: nothing written, file untouched.
         assert spiller.spill() == 0
         assert not path.exists()
         session.grade(WRONG)
         written = spiller.spill()
         assert written >= 1 and spiller.spills == 1
-        assert self._loaded_keys(str(path)) == written
+        assert self._loaded_keys(str(path), beers_catalog) == written
         # Unchanged since the last spill: skipped again.
         assert spiller.spill() == 0 and spiller.spills == 1
         # A fresh mutation re-arms it.
@@ -1044,7 +1110,7 @@ class TestCacheSpiller:
 
         session = AssignmentSession(beers_catalog, TARGET)
         path = tmp_path / "cache.json"
-        spiller = CacheSpiller(session.cache, str(path), interval=0.05)
+        spiller = CacheSpiller(session, str(path), interval=0.05)
         spiller.start()
         try:
             session.grade(WRONG)  # dirty the cache after the thread is up
@@ -1054,7 +1120,7 @@ class TestCacheSpiller:
         finally:
             spiller.stop()
         assert spiller.spills >= 1
-        assert self._loaded_keys(str(path)) >= 1
+        assert self._loaded_keys(str(path), beers_catalog) >= 1
         # After stop, no further spills happen even if the cache moves.
         spills = spiller.spills
         session.grade(TARGET)
@@ -1070,13 +1136,13 @@ class TestCacheSpiller:
         path = tmp_path / "cache.json"
         # Interval far beyond the test: the background thread never ticks,
         # so anything on disk afterwards came from stop() itself.
-        spiller = CacheSpiller(session.cache, str(path), interval=3600)
+        spiller = CacheSpiller(session, str(path), interval=3600)
         spiller.start()
         session.grade(WRONG)
         spiller.stop()
         assert spiller.spills == 1
         assert path.exists()
-        assert self._loaded_keys(str(path)) >= 1
+        assert self._loaded_keys(str(path), beers_catalog) >= 1
 
 
 class TestWitnessText:
@@ -1167,6 +1233,139 @@ class TestRouteCardinality:
         assert 'route="other"' in text
 
 
+class TestRouteTable:
+    """``ROUTES`` is the one list of routes: it decides what answers and
+    which route label a request is counted under."""
+
+    def test_each_route_answers_under_its_own_method(self, client):
+        from repro.service.server import ROUTES
+
+        for method, path in ROUTES:
+            if method == "GET":
+                status, _, text = _get_text(client, path)
+                assert status == 200 and text, path
+            else:
+                # An empty object reaches the handler, which asks for its
+                # first required field.
+                status, body = client.post(path, {})
+                assert status == 400, path
+                assert body["error"].endswith("is required"), path
+
+    def test_known_path_under_the_other_method_is_404_labelled_by_path(
+        self, client
+    ):
+        from repro.service.server import ROUTES
+
+        before = _scrape(client)
+        for method, path in ROUTES:
+            if method == "GET":
+                status, body = client.post(path, {})
+            else:
+                status, body = client.get(path)
+            assert (status, body) == (404, {"error": f"no such route {path}"})
+        after = _scrape(client)
+        for _, path in ROUTES:
+            key = {"route": path, "status": "404"}
+            assert (
+                _counter(after, "repro_http_requests_total", **key)
+                == _counter(before, "repro_http_requests_total", **key) + 1
+            ), path
+
+    def test_unknown_path_is_404_labelled_other(self, client):
+        before = _scrape(client)
+        for path in ("/nope", "/grade/extra", "/stats/?x=1"):
+            assert client.get(path)[0] == 404
+            assert client.post(path, {})[0] == 404
+        after = _scrape(client)
+        key = {"route": "other", "status": "404"}
+        assert (
+            _counter(after, "repro_http_requests_total", **key)
+            == _counter(before, "repro_http_requests_total", **key) + 6
+        )
+
+
+class TestServeProcess:
+    """``repro serve`` as a real process, through its interrupt, drain
+    and spill path."""
+
+    def _run(self, argv, sql):
+        """Start ``repro serve argv``, POST ``sql`` to ``/grade`` once the
+        banner is out, then interrupt it with SIGINT; it must exit 0.
+
+        Returns ``(stdout, (status, body) of the grade)``.
+        """
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        # A server that hangs is killed, so the test fails instead of
+        # the suite hanging.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            banner = []
+            for line in proc.stdout:
+                banner.append(line)
+                if line.startswith("routes: "):
+                    break
+            match = re.search(r"listening on http://[^:]+:(\d+)",
+                              "".join(banner))
+            assert match, proc.stderr.read()
+            grade = _Client(f"http://127.0.0.1:{match.group(1)}").post(
+                "/grade", {"assignment_id": "default", "sql": sql}
+            )
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        # The output is a few lines, so it never fills a pipe; reading it
+        # through the same buffered files keeps every line.
+        out, err = proc.stdout.read(), proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+        assert proc.returncode == 0, err
+        return "".join(banner) + out, grade
+
+    def test_interrupt_spills_and_a_restart_restores(self, serve_argv):
+        from repro.service.server import ROUTES
+
+        argv = serve_argv + ["--port", "0", "--quiet"]
+        out, (status, body) = self._run(argv, WRONG)
+        assert (status, body["cached"]) == (200, False)
+        routes = next(
+            line for line in out.splitlines() if line.startswith("routes: ")
+        )
+        listed = routes[len("routes: "):].split("  ")
+        assert len(listed) == 7
+        assert sorted(listed) == sorted(f"{m} {p}" for m, p in ROUTES)
+        assert "shutting down (draining in-flight requests)" in out
+        assert "saved 1 cached artifact(s)" in out
+
+        out, (status, body) = self._run(argv, WRONG)
+        assert "restored 1 cached artifact(s)" in out
+        assert (status, body["cached"]) == (200, True)
+
+
 class TestHttpEffort:
     def _grade(self, client, **extra):
         _, created = client.post(
@@ -1218,7 +1417,7 @@ class TestStatsSpill:
 
         session = service.session(aid)
         spiller = CacheSpiller(
-            session.cache, str(tmp_path / "cache.json"), interval=3600
+            session, str(tmp_path / "cache.json"), interval=3600
         )
         server.spiller = spiller
         client.post("/grade", {"assignment_id": aid, "sql": WRONG})
@@ -1239,7 +1438,7 @@ class TestStatsSpill:
 
         session = AssignmentSession(beers_catalog, TARGET)
         path = tmp_path / "cache.json"
-        spiller = CacheSpiller(session.cache, str(path), interval=3600)
+        spiller = CacheSpiller(session, str(path), interval=3600)
         session.grade(WRONG)
         JOURNAL.clear()
         spiller.spill()

@@ -58,9 +58,9 @@ def _graded_through_spill(catalog, target_sql, sql, spill_dir):
     path = os.path.join(spill_dir, "cache.json")
     first = AssignmentSession(catalog, target_sql)
     first.grade(sql, witness=True)
-    first.cache.save(path)
+    first.save(path)
     session = AssignmentSession(catalog, target_sql)
-    session.cache.load(path)
+    session.load(path)
     result = session.grade(sql, witness=True)
     assert result.cached, sql
     assert (session.pipeline_runs, session.witness_runs) == (0, 0), sql
