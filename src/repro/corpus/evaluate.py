@@ -20,7 +20,8 @@ and folds the per-entry outcomes into corpus-level metrics:
 * **ground-truth agreement** -- per flagged entry, the hinted stages are
   compared against the mutated stages (mean recall + exact-match rate);
 * **witness coverage** -- optionally, counterexample generation over a
-  deterministic subsample of the flagged entries;
+  deterministic subsample of the flagged entries, each witness taken
+  from the session that graded the entry;
 * **throughput** -- graded entries per second of batch-grading time;
 * **repair-cost attribution** -- per mutation kind, the mean and p95
   pipeline time of the entries carrying that kind (``grade_ms_mean`` /
@@ -50,9 +51,7 @@ from repro.corpus.schemas import bundled_sources
 from repro.errors import ReproError
 from repro.obs.effort import mean_effort
 from repro.service.batch import GradeError, grade_batch
-from repro.solver import Solver
-from repro.sqlparser.rewrite import parse_query_extended
-from repro.witness import generate_witness
+from repro.service.session import AssignmentSession
 
 
 @dataclass
@@ -168,9 +167,13 @@ def evaluate_corpus(
 
     outcomes = []
     trace_records = []
+    sessions = {}  # (schema, target_sql) -> the session that graded it
     for (schema, target_sql), group in groups.items():
         catalog = sources[schema].catalog()
         start = time.perf_counter()
+        session = sessions[schema, target_sql] = AssignmentSession(
+            catalog, target_sql, max_sites=max_sites
+        )
         # A pool per tiny group costs more than it saves (worker startup
         # re-parses the target); grade those serially in-process.
         group_processes = 1 if len(group) < 4 else processes
@@ -180,6 +183,7 @@ def evaluate_corpus(
             [e.wrong_sql for e in group],
             processes=group_processes,
             max_sites=max_sites,
+            session=session,
             trace=trace_jsonl is not None,
             effort=True,
         )
@@ -256,27 +260,24 @@ def evaluate_corpus(
         stats["effort"] = mean_effort(kind_effort.get(kind, []))
 
     if witness:
-        _measure_witness_coverage(result, outcomes, sources, witness_limit)
+        _measure_witness_coverage(result, outcomes, sessions, witness_limit)
 
     result.outcomes = outcomes
     return result
 
 
-def _measure_witness_coverage(result, outcomes, sources, limit):
-    """Counterexample generation over the first ``limit`` flagged entries."""
-    solvers = {}
+def _measure_witness_coverage(result, outcomes, sessions, limit):
+    """Counterexample generation over the first ``limit`` flagged entries,
+    each by the session that graded it, as a student's request would."""
     start = time.perf_counter()
     for entry, outcome in outcomes:
         if result.witness_attempted >= limit:
             break
         if isinstance(outcome, GradeError) or outcome.all_passed:
             continue
-        catalog = sources[entry.schema].catalog()
-        solver = solvers.setdefault(entry.schema, Solver())
+        session = sessions[entry.schema, entry.target_sql]
         try:
-            target = parse_query_extended(entry.target_sql, catalog)
-            wrong = parse_query_extended(entry.wrong_sql, catalog)
-            found = generate_witness(catalog, target, wrong, solver=solver)
+            found = session.grade(entry.wrong_sql, witness=True).witness
         except ReproError:
             found = None
         result.witness_attempted += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import fields
 from fractions import Fraction
 
-from repro.catalog import SqlType
+from repro.catalog import Column, SqlType, Table
 from repro.core.hints import Hint
 from repro.core.pipeline import Report, StageResult
 from repro.logic.formulas import And, BoolConst, Comparison, Not, Or
@@ -34,14 +34,14 @@ from repro.witness.build import Witness
 
 #: Format version written by ``AssignmentSession.save``; ``load`` accepts
 #: no other.
-VERSION = 3
+VERSION = 4
 
 #: The classes a spill may hold, by the name it records for them.
 CLASSES = {
     cls.__name__: cls
     for cls in (Var, Const, Arith, Neg, AggCall, BoolConst, Comparison, Not,
                 And, Or, FromEntry, ResolvedQuery, Hint, StageResult, Report,
-                Witness)
+                Witness, Table, Column)
 }
 #: The fields spilled per class.
 _FIELDS = {

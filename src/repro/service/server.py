@@ -65,6 +65,7 @@ import math
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.catalog import Catalog
@@ -175,6 +176,7 @@ class AdmissionController:
         self.queue_timeout = _setting("queue_timeout", queue_timeout)
         self._cond = threading.Condition()
         self.inflight = 0
+        self._responding = 0  # see responding()
         self.waiting = 0
         self.draining = False
         self.admitted = 0
@@ -225,6 +227,20 @@ class AdmissionController:
             self.inflight -= 1
             self._cond.notify_all()
 
+    @contextmanager
+    def responding(self):
+        """Keep :meth:`wait_idle` waiting while a response is written:
+        entered before :meth:`release`, it lets a request free its slot
+        before the client can read the response."""
+        with self._cond:
+            self._responding += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._responding -= 1
+                self._cond.notify_all()
+
     def start_drain(self):
         """Refuse all future admissions (drain begins)."""
         with self._cond:
@@ -232,10 +248,11 @@ class AdmissionController:
             self._cond.notify_all()
 
     def wait_idle(self, timeout):
-        """Block until no admitted work is in flight; False on timeout."""
+        """Block until no admitted work is in flight or being answered;
+        False on timeout."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            while self.inflight > 0:
+            while self.inflight > 0 or self._responding > 0:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -482,14 +499,13 @@ class HintRequestHandler(BaseHTTPRequestHandler):
     """JSON request handler; the service lives on ``self.server.service``.
 
     Each request is answered by the handler :data:`ROUTES` declares for
-    its method and path, through :meth:`_respond`.
+    its method and path, through :meth:`_outcome` and :meth:`_respond`.
     """
 
     protocol_version = "HTTP/1.1"
-    quiet = True
 
     def log_message(self, fmt, *args):  # pragma: no cover - noise control
-        if not self.quiet:
+        if not self.server.quiet:
             super().log_message(fmt, *args)
 
     def setup(self):
@@ -621,8 +637,8 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, f"field {key!r} is required")
         return value
 
-    def _respond(self, handler):
-        """Run ``handler`` and send the ``(status, payload)`` it returns.
+    def _outcome(self, handler):
+        """Run ``handler`` and return the ``(status, payload)`` to send.
 
         The one place an exception becomes a status: a
         :class:`ServiceError` carries its own, an expired deadline is 408
@@ -630,25 +646,17 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         started; mid-run expiry degrades to a partial 200 instead), any
         other :class:`ReproError` is 400, and anything else is 500,
         journaled as ``http.exception`` with the flight recording dumped
-        to stderr.  A ``str`` payload goes out as Prometheus text, any
-        other as JSON.
+        to stderr.
         """
         try:
-            status, payload = handler(self)
+            return handler(self)
         except ServiceError as error:
-            status, payload = error.status, {"error": str(error)}
+            return error.status, {"error": str(error)}
         except DeadlineExceeded as error:
-            status, payload = 408, {
-                "error": str(error),
-                "kind": "DeadlineExceeded",
-            }
+            return 408, {"error": str(error), "kind": "DeadlineExceeded"}
         except ReproError as error:
-            status, payload = 400, {
-                "error": str(error),
-                "kind": type(error).__name__,
-            }
+            return 400, {"error": str(error), "kind": type(error).__name__}
         except Exception as error:
-            status, payload = 500, {"error": f"internal error: {error}"}
             # The flight recording explains the crash; dump it into the
             # server log next to where the traceback would land.
             JOURNAL.record(
@@ -660,6 +668,10 @@ class HintRequestHandler(BaseHTTPRequestHandler):
             JOURNAL.dump(
                 reason=f"unhandled {type(error).__name__} on {self._route}"
             )
+            return 500, {"error": f"internal error: {error}"}
+
+    def _respond(self, status, payload):
+        """Send a ``str`` payload as Prometheus text, any other as JSON."""
         if isinstance(payload, str):
             self._send_body(
                 status,
@@ -729,7 +741,9 @@ class HintRequestHandler(BaseHTTPRequestHandler):
         handler = ROUTES.get((method, self._route))
         if handler is None or method != "POST":
             self._drain_body()
-            self._respond(handler or HintRequestHandler._no_route)
+            self._respond(
+                *self._outcome(handler or HintRequestHandler._no_route)
+            )
             return
         admission = self.server.admission
         verdict = admission.acquire()
@@ -747,10 +761,14 @@ class HintRequestHandler(BaseHTTPRequestHandler):
                 extra_headers={"Retry-After": retry_after},
             )
             return
-        try:
-            self._respond(handler)
-        finally:
-            admission.release()
+        # The slot is free before the client can read the response, so a
+        # client that sends its next request on reading it is not shed.
+        with admission.responding():
+            try:
+                outcome = self._outcome(handler)
+            finally:
+                admission.release()
+            self._respond(*outcome)
 
     # -- routes: each returns (status, payload); see ROUTES -------------
 
@@ -976,7 +994,7 @@ class HintHTTPServer(ThreadingHTTPServer):
 
 def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
                 spiller=None, admission=None, read_timeout=None,
-                max_timeout_ms=None):
+                max_timeout_ms=None, quiet=True):
     """Build (but do not start) the threading HTTP server.
 
     ``port`` is an integer in 0..65535; ``port=0`` binds an ephemeral
@@ -992,8 +1010,9 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
     ``read_timeout`` puts a socket timeout on request reads so stalled
     clients get 408/disconnected instead of pinning handler threads;
     ``max_timeout_ms`` caps (and defaults) per-request ``timeout_ms``
-    grade budgets.  A bad setting raises ``ValueError`` before the bind;
-    a failed bind raises its ``OSError``.
+    grade budgets.  ``quiet=False`` writes an access-log line per
+    request to stderr.  A bad setting raises ``ValueError`` before the
+    bind; a failed bind raises its ``OSError``.
     """
     _setting("port", port, integer=True, below=65536)
     _setting("slow_ms", slow_ms, optional=True)
@@ -1006,6 +1025,7 @@ def make_server(host="127.0.0.1", port=0, service=None, slow_ms=None,
     server.admission = admission or AdmissionController()
     server.read_timeout = read_timeout
     server.max_timeout_ms = max_timeout_ms
+    server.quiet = quiet
     return server
 
 
@@ -1027,8 +1047,7 @@ def serve(host="127.0.0.1", port=8100, service=None, quiet=False,
     setting raises ``ValueError`` before anything starts.
     """
     _setting("drain_timeout", drain_timeout)
-    HintRequestHandler.quiet = quiet
-    server = make_server(host, port, service, **settings)
+    server = make_server(host, port, service, quiet=quiet, **settings)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro hint service listening on http://{bound_host}:{bound_port}")
     print("routes: "

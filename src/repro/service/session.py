@@ -25,7 +25,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.hints import Hint
 from repro.core.pipeline import QrHint
@@ -38,7 +38,6 @@ from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import (
     format_witness_lines,
     generate_witness,
-    remap_witness,
     witness_divergence_sentence,
     witness_to_dict,
 )
@@ -409,9 +408,9 @@ class AssignmentSession:
         if witness_obj is not None:
             # Pinned-cell labels are in the canonical namespace; rewrite
             # them with the same inverse mapping the hints go through.
-            witness_obj = remap_witness(
-                witness_obj, lambda text: _remap_text(text, inverse)
-            )
+            witness_obj = replace(witness_obj, assignments=tuple(
+                _remap_text(text, inverse) for text in witness_obj.assignments
+            ))
         return GradeResult(
             submission_sql=sql,
             all_passed=report.all_passed,
@@ -475,13 +474,15 @@ class AssignmentSession:
     def save(self, path):
         """Spill the artifact cache to a JSON file; returns the count.
 
-        The file is ``{"version": 3, "target": ..., "max_sites": N,
-        "entries": [[key, artifact], ...]}``: the resolved target and the
-        repair-site cap every artifact was graded against, then the cache
-        entries oldest-first, so a later :meth:`load` reproduces the LRU
-        order exactly.  :func:`repro.service.serialize.to_obj` encodes
-        every value; an entry it cannot encode (an object of a class
-        outside its registry) is skipped rather than failing the spill.
+        The file is ``{"version": 4, "catalog": [table, ...], "target":
+        ..., "max_sites": N, "entries": [[key, artifact], ...]}``: the
+        catalog's tables (names, columns and types), the resolved target
+        and the repair-site cap every artifact was graded against, then
+        the cache entries oldest-first, so a later :meth:`load`
+        reproduces the LRU order exactly.
+        :func:`repro.service.serialize.to_obj` encodes every value; an
+        entry it cannot encode (an object of a class outside its
+        registry) is skipped rather than failing the spill.
         The write is atomic (temp file + rename), so a crash mid-save
         never truncates an existing spill.
         """
@@ -494,6 +495,7 @@ class AssignmentSession:
         # json.dumps encodes in C; json.dump streams through pure Python.
         text = json.dumps({
             "version": VERSION,
+            "catalog": to_obj(tuple(self.catalog)),
             "target": to_obj(self.target),
             "max_sites": self.max_sites,
             "entries": entries,
@@ -515,15 +517,17 @@ class AssignmentSession:
         eviction policy apply as if they had just been computed.  Their
         canonical keys compare equal to freshly canonicalized
         submissions, which is what makes cross-restart reuse work.  A
-        file that is not a version-3 spill, or whose artifacts were
-        graded against another target or ``max_sites`` (they would be
-        wrong answers here), raises ``ValueError`` and restores nothing.
+        file that is not a version-4 spill, or whose artifacts were
+        graded against another schema, target or ``max_sites`` (they
+        would be wrong answers here), raises ``ValueError`` and restores
+        nothing.
         """
         with open(path) as handle:
             payload = json.load(handle)
         try:
             if payload["version"] != VERSION:
                 raise ValueError(f"version {payload['version']!r}")
+            catalog = from_obj(payload["catalog"])
             target = from_obj(payload["target"])
             max_sites = payload["max_sites"]
             restored = dict(from_obj(payload["entries"]))
@@ -531,6 +535,8 @@ class AssignmentSession:
             raise ValueError(
                 f"not a version-{VERSION} artifact spill ({exc})"
             ) from exc
+        if catalog != tuple(self.catalog):
+            raise ValueError("graded against another schema")
         if (target, max_sites) != (self.target, self.max_sites):
             raise ValueError("graded against another target or max_sites")
         for key, artifact in restored.items():

@@ -25,7 +25,6 @@ from repro.witness.build import (
     Witness,
     format_witness_lines,
     generate_witness,
-    remap_witness,
     witness_divergence_sentence,
     witness_to_dict,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "format_witness_lines",
     "generate_witness",
     "guided_generator",
-    "remap_witness",
     "results_differ",
     "shrink_instance",
     "witness_divergence_sentence",

@@ -1,32 +1,37 @@
-"""End-to-end witness generation: model -> instance -> verify -> shrink.
+"""End-to-end witness generation: candidates -> verify -> shrink.
 
 :func:`generate_witness` turns a (target, working) query pair into a tiny
 concrete database on which the two queries *visibly* disagree -- the
-executable counterpart of a hint.  Two strategies run in order:
+executable counterpart of a hint.  One stream, :func:`_candidates`,
+yields candidate instances in order of preference:
 
-1. **solver-model path** -- when the FROM multisets match, the target is
+1. **solver model** -- when the FROM multisets match, the target is
    unified onto the working aliases and the single-row divergence formula
    (:mod:`repro.witness.divergence`) is handed to
    :meth:`~repro.solver.Solver.find_model`; the theory model is
    concretized into one row per alias.  This is what finds witnesses for
    selective predicates (``area = 'Systems'``) that random data
    essentially never satisfies.
-2. **guided differential search** -- a seeded, constants-aware
-   :class:`~repro.engine.datagen.DataGenerator` samples small instances
-   until one differentiates the queries.  This covers multi-row-only
-   divergences (``COUNT(*)`` vs ``COUNT(DISTINCT ...)``, grouping splits,
-   FROM-multiset mismatches) that have no single-row model.
+2. **model-seeded augmentation** -- a model on which *both* queries emit,
+   plus one near-duplicate row: the multiplicity and grouping
+   divergences (``COUNT(*)`` vs ``COUNT(DISTINCT ...)``) that have no
+   single-row model.
+3. **guided differential search** -- a seeded, constants-aware
+   :class:`~repro.engine.datagen.DataGenerator` samples small instances;
+   this also covers FROM-multiset mismatches, where no unification exists.
 
-Every candidate is executor-verified (the result bags must differ) and
-then greedily shrunk; a witness is only emitted if it fits the per-table
-row cap, so everything the service returns is small enough to read.
+One accept rule keeps the first candidate on which the executor sees the
+result bags differ and that greedily shrinks to at most
+``max_rows_per_table`` rows per table, so everything the service returns
+is small enough to read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.core.table_mapping import unify_target
@@ -100,11 +105,11 @@ def witness_to_dict(witness):
 
 
 def _format_row(row):
-    return "(" + ", ".join(
-        str(v) if not isinstance(v, Fraction)
-        else (str(int(v)) if v.denominator == 1 else str(float(v)))
-        for v in row
-    ) + ")"
+    return "(" + ", ".join(str(_json_value(v)) for v in row) + ")"
+
+
+def _format_bag(rows):
+    return ", ".join(_format_row(row) for row in rows) or "(no rows)"
 
 
 def format_witness_lines(witness):
@@ -117,28 +122,17 @@ def format_witness_lines(witness):
         lines.append(f"  {name}({', '.join(columns)})")
         for row in rows:
             lines.append(f"    {_format_row(row)}")
-    wrong = ", ".join(_format_row(r) for r in witness.wrong_result)
-    target = ", ".join(_format_row(r) for r in witness.target_result)
-    lines.append(f"  your query returns:      {wrong or '(no rows)'}")
-    lines.append(f"  reference query returns: {target or '(no rows)'}")
+    lines.append(f"  your query returns:      {_format_bag(witness.wrong_result)}")
+    lines.append(f"  reference query returns: {_format_bag(witness.target_result)}")
     return lines
 
 
 def witness_divergence_sentence(witness):
     """One-sentence divergence summary used by witness-guided hint text."""
-    wrong = ", ".join(_format_row(r) for r in witness.wrong_result)
-    target = ", ".join(_format_row(r) for r in witness.target_result)
     return (
-        f"On this database your query returns {wrong or '(no rows)'}; "
-        f"the reference returns {target or '(no rows)'}."
-    )
-
-
-def remap_witness(witness, remap_text):
-    """Rewrite the witness's alias-qualified strings via ``remap_text``."""
-    return replace(
-        witness,
-        assignments=tuple(remap_text(a) for a in witness.assignments),
+        f"On this database your query returns "
+        f"{_format_bag(witness.wrong_result)}; "
+        f"the reference returns {_format_bag(witness.target_result)}."
     )
 
 
@@ -182,6 +176,56 @@ def _augmented_candidates(base, generator):
                 yield Database(catalog, candidate)
 
 
+def _find_model(solver, formula):
+    """``solver``'s model of ``formula``; None if unsatisfiable or too big."""
+    try:
+        return solver.find_model(formula)
+    except SolverLimitError:
+        return None
+
+
+def _candidates(catalog, working, unified, exec_target, *, solver, seed,
+                max_rows, trials):
+    """Yield ``(source, database, assignments)`` in order of preference.
+
+    Lazily, so each stage's solver calls run only once every earlier
+    candidate was rejected: the single-row divergence model, then up to
+    64 one-extra-row variants of a model on which both queries emit (when
+    its cross product stays at most 1024 rows, to keep each execution
+    cheap), then -- after journaling ``witness.fallback`` -- ``trials``
+    seeded search instances.  The first two need a unified target.
+    """
+    if unified is not None:
+        model = _find_model(solver, divergence_formula(working, unified))
+        if model is not None:
+            database, assignments = build_instance(
+                catalog, (working, unified), model, seed=seed
+            )
+            yield "model", database, assignments
+    generator = guided_generator(
+        catalog, (working, exec_target), seed=seed, max_rows=max_rows
+    )
+    if unified is not None:
+        both = _find_model(
+            solver, conj(emits_single_row(working), emits_single_row(unified))
+        )
+        if both is not None:
+            base, assignments = build_instance(
+                catalog, (working, unified), both, seed=seed
+            )
+            if math.prod(max(1, len(base.rows(entry.table)))
+                         for entry in working.from_entries) <= 1024:
+                for candidate in itertools.islice(
+                    _augmented_candidates(base, generator), 64
+                ):
+                    yield "model", candidate, assignments
+    JOURNAL.record(
+        "witness.fallback", trials=trials, unified=unified is not None
+    )
+    for candidate in generator.instances(trials, seed=seed):
+        yield "search", candidate, ()
+
+
 def generate_witness(
     catalog,
     target,
@@ -195,161 +239,56 @@ def generate_witness(
     """A verified, shrunk :class:`Witness` for the pair, or None.
 
     Deterministic for a fixed ``(target, working, seed)``: the solver
-    model search is order-independent and the fallback generator is
+    model search is order-independent and the search generator is
     seeded.  Returns None when the queries appear equivalent (no
     divergence surfaced) or when no witness fits ``max_rows_per_table``.
     """
     with TRACER.span("witness.generate") as span:
-        witness = _generate_witness(
-            catalog,
-            target,
-            working,
-            solver=solver,
-            seed=seed,
-            max_rows_per_table=max_rows_per_table,
-            trials=trials,
-        )
-        span.set(
-            found=witness is not None,
-            source=witness.source if witness is not None else None,
-        )
-        return witness
+        start = time.perf_counter()
+        unified = None
+        if target.tables_multiset() == working.tables_multiset():
+            try:
+                unified, _ = unify_target(target, working, catalog)
+            except ValueError:
+                pass
+        exec_target = unified if unified is not None else target
 
+        def diverges(database):
+            return results_differ(working, exec_target, database)
 
-def _generate_witness(
-    catalog,
-    target,
-    working,
-    *,
-    solver,
-    seed,
-    max_rows_per_table,
-    trials,
-):
-    start = time.perf_counter()
-    solver = solver or Solver()
-
-    unified = None
-    if target.tables_multiset() == working.tables_multiset():
-        try:
-            unified, _ = unify_target(target, working, catalog)
-        except ValueError:
-            unified = None
-    exec_target = unified if unified is not None else target
-
-    def diverges(database):
-        return results_differ(working, exec_target, database)
-
-    def shrunk_under_cap(candidate):
-        """Shrink a diverging candidate; None if it still busts the cap."""
-        shrunk = shrink_instance(candidate, diverges)
-        if any(
-            len(rows) > max_rows_per_table for rows in shrunk.tables.values()
+        for source, candidate, assignments in _candidates(
+            catalog, working, unified, exec_target, solver=solver or Solver(),
+            seed=seed, max_rows=max_rows_per_table, trials=trials,
         ):
-            return None
-        return shrunk
-
-    chosen = None
-    source = None
-    assignments = ()
-    if unified is not None:
-        try:
-            model = solver.find_model(divergence_formula(working, unified))
-        except SolverLimitError:
-            model = None
-        if model is not None:
-            candidate, model_assignments = build_instance(
-                catalog, (working, unified), model, seed=seed
-            )
-            if diverges(candidate):
-                shrunk = shrunk_under_cap(candidate)
-                if shrunk is not None:
-                    chosen, source, assignments = (
-                        shrunk, "model", model_assignments
-                    )
-    if chosen is None and unified is not None:
-        # Model-seeded augmentation: concretize a model on which BOTH
-        # queries emit, then look for a one-extra-row perturbation that
-        # splits them (multiplicity/grouping divergences have no
-        # single-row model but are usually one near-duplicate row away).
-        try:
-            both = solver.find_model(
-                conj(emits_single_row(working), emits_single_row(unified))
-            )
-        except SolverLimitError:
-            both = None
-        if both is not None:
-            base, base_assignments = build_instance(
-                catalog, (working, unified), both, seed=seed
-            )
-            cross_product_size = 1
-            for entry in working.from_entries:
-                cross_product_size *= max(1, len(base.rows(entry.table)))
-            if cross_product_size <= 1024:  # keep per-candidate executions cheap
-                generator = guided_generator(
-                    catalog, (working, unified), seed=seed,
-                    max_rows=max_rows_per_table,
-                )
-                for candidate in itertools.islice(
-                    _augmented_candidates(base, generator), 64
-                ):
-                    if diverges(candidate):
-                        shrunk = shrunk_under_cap(candidate)
-                        if shrunk is None:
-                            continue
-                        chosen, source, assignments = (
-                            shrunk, "model", base_assignments
-                        )
-                        break
-    if chosen is None:
-        # The search generator draws at most max_rows_per_table rows per
-        # table, so its shrunk candidates always fit the cap.
-        JOURNAL.record(
-            "witness.fallback",
-            trials=trials,
-            unified=unified is not None,
-        )
-        generator = guided_generator(
-            catalog, (working, exec_target), seed=seed,
-            max_rows=max_rows_per_table,
-        )
-        for candidate in generator.instances(trials, seed=seed):
-            if diverges(candidate):
-                chosen = shrink_instance(candidate, diverges)
-                source = "search"
+            if not diverges(candidate):
+                continue
+            chosen = shrink_instance(candidate, diverges)
+            if all(len(rows) <= max_rows_per_table
+                   for rows in chosen.tables.values()):
                 break
-    if chosen is None:
-        return None
-
-    stage = (
-        first_divergent_stage(working, unified, chosen)
-        if unified is not None
-        else "FROM"
-    )
-    wrong_result = execute(working, chosen)
-    target_result = execute(exec_target, chosen)
-    tables = []
-    for name in sorted(chosen.tables):
-        rows = chosen.tables[name]
-        if not rows:
-            continue
-        table = catalog.table(name)
-        tables.append(
-            (
-                table.name,
-                tuple(column.name for column in table.columns),
-                tuple(
-                    tuple(row[column.name.lower()] for column in table.columns)
+        else:
+            span.set(found=False, source=None)
+            return None
+        tables = []
+        for name, rows in sorted(chosen.tables.items()):
+            if rows:
+                table = catalog.table(name)
+                columns = tuple(column.name for column in table.columns)
+                tables.append((table.name, columns, tuple(
+                    tuple(row[column.lower()] for column in columns)
                     for row in rows
-                ),
-            )
+                )))
+        span.set(found=True, source=source)
+        return Witness(
+            tables=tuple(tables),
+            wrong_result=tuple(map(tuple, execute(working, chosen))),
+            target_result=tuple(map(tuple, execute(exec_target, chosen))),
+            stage=(
+                first_divergent_stage(working, unified, chosen)
+                if unified is not None
+                else "FROM"
+            ),
+            source=source,
+            assignments=assignments,
+            elapsed=time.perf_counter() - start,
         )
-    return Witness(
-        tables=tuple(tables),
-        wrong_result=tuple(tuple(row) for row in wrong_result),
-        target_result=tuple(tuple(row) for row in target_result),
-        stage=stage,
-        source=source,
-        assignments=assignments,
-        elapsed=time.perf_counter() - start,
-    )

@@ -12,9 +12,8 @@ SELECT.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.engine.executor import (
+    _row_key,
     bag_equal,
     execute,
     filtered_rows,
@@ -23,35 +22,24 @@ from repro.engine.executor import (
 )
 
 
-def _value_key(value):
-    if isinstance(value, Fraction):
-        return (0, float(value))
-    return (1, str(value))
-
-
 def _env_key(env):
-    return tuple(sorted((name, _value_key(value)) for name, value in env.items()))
+    names = sorted(env)
+    return tuple(names), _row_key([env[name] for name in names])
+
+
+def _bag_key(envs):
+    """A bag of environments as a comparable sorted list."""
+    return sorted(map(_env_key, envs))
+
+
+def _partition_key(groups):
+    """Groups of environments as a comparable multiset of bags."""
+    return sorted(tuple(_bag_key(envs)) for envs in groups)
 
 
 def results_differ(working, target, database):
     """True iff the two queries' result bags differ on ``database``."""
     return not bag_equal(execute(working, database), execute(target, database))
-
-
-def _partition_key(query, database):
-    """The grouping partition as a comparable multiset of env multisets."""
-    return sorted(
-        tuple(sorted(_env_key(env) for env in envs))
-        for _, envs in grouped_rows(query, database)
-    )
-
-
-def _survivor_key(query, database):
-    """The HAVING-surviving partition, same shape as the grouping key."""
-    return sorted(
-        tuple(sorted(_env_key(env) for env in envs))
-        for _, envs, _ in having_groups(query, database)
-    )
 
 
 def first_divergent_stage(working, target, database):
@@ -62,12 +50,16 @@ def first_divergent_stage(working, target, database):
     label FROM-multiset mismatches themselves (the namespaces cannot be
     unified in that case).
     """
-    fw_working = sorted(_env_key(env) for env in filtered_rows(working, database))
-    fw_target = sorted(_env_key(env) for env in filtered_rows(target, database))
-    if fw_working != fw_target:
-        return "WHERE"
-    if _partition_key(working, database) != _partition_key(target, database):
-        return "GROUP BY"
-    if _survivor_key(working, database) != _survivor_key(target, database):
-        return "HAVING"
+    artifact_keys = {
+        "WHERE": lambda query: _bag_key(filtered_rows(query, database)),
+        "GROUP BY": lambda query: _partition_key(
+            envs for _, envs in grouped_rows(query, database)
+        ),
+        "HAVING": lambda query: _partition_key(
+            envs for _, envs, _ in having_groups(query, database)
+        ),
+    }
+    for stage, key in artifact_keys.items():
+        if key(working) != key(target):
+            return stage
     return "SELECT"

@@ -194,10 +194,23 @@ class TestEvaluateCorpus:
         assert result.stage_recall >= 0.9
         assert 0.0 <= result.stage_exact_rate <= 1.0
 
-    def test_witness_subsample(self, beers_eval):
+    def test_witness_subsample(self, beers_eval, beers_cat):
+        from repro.service import AssignmentSession
+
         _, result = beers_eval
         assert result.witness_attempted == 4
         assert result.witness_found >= 3
+        # The four sampled entries are the first four flagged ones; each
+        # gets the witness a fresh session finds for it.
+        sampled = [
+            entry for entry, outcome in result.outcomes
+            if not outcome.all_passed
+        ][:4]
+        assert result.witness_found == sum(
+            AssignmentSession(beers_cat, entry.target_sql)
+            .grade(entry.wrong_sql, witness=True).witness is not None
+            for entry in sampled
+        )
 
     def test_by_schema_and_kind_breakdowns(self, beers_eval):
         pool, result = beers_eval

@@ -342,6 +342,40 @@ class TestAdmissionControl:
         admission.release()
         assert admission.wait_idle(1.0)
 
+    def test_drain_waits_for_a_response_written_after_release(self):
+        admission = AdmissionController(max_inflight=1)
+        assert admission.acquire() == "admitted"
+        with admission.responding():
+            admission.release()
+            assert admission.acquire() == "admitted"  # the slot is free
+            admission.release()
+            assert not admission.wait_idle(0.05)  # still being written
+        assert admission.wait_idle(1.0)
+
+    def test_slot_is_free_before_the_client_reads_the_response(
+        self, start_server, monkeypatch
+    ):
+        # A client that sends its next request as soon as it reads a
+        # response never has two in flight, so one slot must admit it.
+        # A slow release would shed it if the slot were freed only after
+        # the response was written.
+        release = AdmissionController.release
+
+        def slow_release(controller):
+            time.sleep(0.1)
+            release(controller)
+
+        monkeypatch.setattr(AdmissionController, "release", slow_release)
+        server, base = start_server(
+            admission=AdmissionController(max_inflight=1, max_queue=0)
+        )
+        aid = _create_assignment(base)
+        status, body, _ = _post(
+            base, "/grade", {"assignment_id": aid, "sql": WRONG}
+        )
+        assert status == 200, body
+        assert server.admission.stats()["shed"]["queue_full"] == 0
+
     def test_overload_sheds_503_with_retry_after(self, start_server):
         # One slot, no queue, and a solver slowed to ~1s per grade: the
         # second concurrent request must be shed immediately with 503.
@@ -536,6 +570,20 @@ class TestServeSettings:
             port = holder.getsockname()[1]
             assert main(["serve", "--port", str(port), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_serve_leaves_later_servers_quiet(
+        self, start_server, capsys
+    ):
+        # Access logging is a setting of each server: a serve() that
+        # asked for it, and failed, must not switch it on for the next.
+        from repro.cli import main
+
+        assert main(["serve", "--max-timeout-ms", "0"]) == 2
+        capsys.readouterr()
+        _, base = start_server()
+        with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+            assert resp.status == 200
+        assert capsys.readouterr().err == ""
 
     def test_boundary_values_are_accepted(self):
         admission = AdmissionController(

@@ -930,10 +930,10 @@ class TestCacheDiskSpill:
         assert second.text(show_fixes=True) == first.text(show_fixes=True)
         assert second.witness == first.witness
 
-    #: Spill files ``load`` must refuse.  A ``"target"`` key stands for
-    #: the encoded target of the session that loads it, so only the
-    #: entries are malformed.
-    HEADER = {"version": 3, "target": None, "max_sites": 2}
+    #: Spill files ``load`` must refuse.  A ``"catalog"`` or ``"target"``
+    #: key stands for the encoded catalog or target of the session that
+    #: loads it, so only the rest is malformed.
+    HEADER = {"version": 4, "catalog": None, "target": None, "max_sites": 2}
     MALFORMED = {
         "top-level list": [],
         "zero denominator": {
@@ -944,7 +944,9 @@ class TestCacheDiskSpill:
             **HEADER,
             "entries": [["k", {"t": "Mystery", "x": 1}]],
         },
-        "no target": {"version": 3, "max_sites": 2, "entries": []},
+        "no target": {
+            "version": 4, "catalog": None, "max_sites": 2, "entries": [],
+        },
         "version 1": {
             "version": 1,
             "entries": [
@@ -952,6 +954,9 @@ class TestCacheDiskSpill:
             ],
         },
         "version 2": {"version": 2, "entries": [["k", "__no_witness__"]]},
+        "version 3": {
+            "version": 3, "target": None, "max_sites": 2, "entries": [],
+        },
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -963,12 +968,14 @@ class TestCacheDiskSpill:
         from repro.service.serialize import to_obj
 
         session = AssignmentSession(beers_catalog, TARGET)
-        spill = self.MALFORMED[name]
-        if "target" in spill:
-            spill = {**spill, "target": to_obj(session.target)}
+        spill = dict(self.MALFORMED[name])
+        for key, value in (("catalog", tuple(beers_catalog)),
+                           ("target", session.target)):
+            if key in spill:
+                spill[key] = to_obj(value)
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(spill))
-        with pytest.raises(ValueError, match="version-3 artifact spill"):
+        with pytest.raises(ValueError, match="version-4 artifact spill"):
             session.load(str(path))
         assert len(session.cache) == 0  # nothing restored from a rejected file
 
@@ -992,6 +999,41 @@ class TestCacheDiskSpill:
             session.load(str(path))
         assert len(session.cache) == 0
         assert session.grade(target).all_passed
+
+    def test_spill_of_another_schema_restores_nothing(
+        self, serve_argv, tmp_path, capsys, monkeypatch
+    ):
+        import repro.service.server as server_module
+        from repro.catalog import Catalog
+        from repro.cli import main
+
+        spilled = []
+
+        def grade_wrong(host, port, service, **settings):
+            result = service.session("default").grade(WRONG, witness=True)
+            spilled.append(result.witness)
+            return 0
+
+        monkeypatch.setattr(server_module, "serve", grade_wrong)
+        assert main(serve_argv) == 0
+        assert "saved 2 cached artifact(s)" in capsys.readouterr().out
+        [(_, columns, _)] = spilled[0].tables
+        assert len(columns) == 3
+        # A restart after a column was added to the table the target
+        # reads: the target resolves as before, but the spilled witness
+        # would lack the new column.
+        spec = {"Serves": [["bar", "STRING"], ["beer", "STRING"],
+                           ["price", "FLOAT"], ["tap", "BOOL"]]}
+        (tmp_path / "schema.json").write_text(json.dumps(spec))
+        session = AssignmentSession(Catalog.from_spec(spec), TARGET)
+        with pytest.raises(ValueError, match="another schema"):
+            session.load(str(tmp_path / "cache.json"))
+        assert len(session.cache) == 0
+        [(_, columns, _)] = session.grade(WRONG, witness=True).witness.tables
+        assert len(columns) == 4
+        assert main(serve_argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "another schema" in err
 
     def test_serve_refuses_spill_of_another_target(
         self, serve_argv, capsys, monkeypatch

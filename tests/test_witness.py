@@ -91,6 +91,24 @@ class TestGenerateWitness:
         database = _witness_db(witness, beers_catalog)
         assert not bag_equal(execute(wrong, database), execute(target, database))
 
+    def test_row_cap_applies_to_every_candidate(self, beers_catalog):
+        # Only two rows of Serves split COUNT(*) from COUNT(DISTINCT beer),
+        # so no candidate shrinks under a one-row cap.
+        target = _parse(
+            "SELECT bar, COUNT(DISTINCT beer) FROM Serves GROUP BY bar",
+            beers_catalog,
+        )
+        wrong = _parse(
+            "SELECT bar, COUNT(*) FROM Serves GROUP BY bar", beers_catalog
+        )
+        assert generate_witness(
+            beers_catalog, target, wrong, solver=Solver(),
+            max_rows_per_table=1,
+        ) is None
+        witness = generate_witness(beers_catalog, target, wrong, solver=Solver())
+        assert witness.source == "model"
+        assert witness.total_rows == witness.max_rows == 2
+
     def test_equivalent_queries_yield_none(self, beers_catalog):
         target = _parse("SELECT beer FROM Serves WHERE price > 2", beers_catalog)
         same = _parse("SELECT beer FROM Serves WHERE 2 < price", beers_catalog)
