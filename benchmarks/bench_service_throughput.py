@@ -8,8 +8,8 @@ variants of the same wrong answers) graded two ways:
   ``repro hint`` per submission pays: fresh solver, target re-parsed,
   full pipeline for every submission;
 * **batch** -- ``repro.service.grade_batch``: parse the target once,
-  dedupe submissions by canonical form, grade only the unique forms
-  (sharded across workers), serve the rest from the artifact cache.
+  dedupe submissions by canonical form, grade only the unique forms,
+  serve the rest from the artifact cache.
 
 Asserts the two paths produce byte-identical hint output and that batch
 achieves >= 5x throughput, then writes ``BENCH_service.json``::
@@ -50,7 +50,7 @@ def one_shot(catalog, target_sql, submission_sql):
     return format_report(report)
 
 
-def run_scenario(qid, count, seed, processes=None):
+def run_scenario(qid, count, seed):
     question = next(q for q in dblp.QUESTIONS if q.qid == qid)
     catalog = dblp.catalog()
     pool = userstudy.submission_pool(question, count=count, seed=seed)
@@ -59,9 +59,7 @@ def run_scenario(qid, count, seed, processes=None):
     sequential = [one_shot(catalog, question.correct_sql, sql) for sql in pool]
     sequential_seconds = time.perf_counter() - started
 
-    batch = grade_batch(
-        catalog, question.correct_sql, pool, processes=processes
-    )
+    batch = grade_batch(catalog, question.correct_sql, pool)
     batch_texts = [result.text() for result in batch.results]
 
     identical = batch_texts == sequential
@@ -70,7 +68,6 @@ def run_scenario(qid, count, seed, processes=None):
         "question": qid,
         "submissions": count,
         "unique": batch.unique,
-        "processes": batch.processes,
         "cache_hit_rate": batch.cache_hit_rate,
         "sequential_seconds": round(sequential_seconds, 4),
         "batch_seconds": round(batch.elapsed, 4),
@@ -176,7 +173,6 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=200,
                         help="submissions in the pile (default 200)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--processes", type=int, default=None)
     parser.add_argument(
         "--full", action="store_true",
         help="also run the expensive Q1 scenario (minutes, not seconds)",
@@ -185,7 +181,7 @@ def main(argv=None):
 
     scenarios = {}
     for qid in ("Q4", "Q2"):
-        result = run_scenario(qid, args.count, args.seed, args.processes)
+        result = run_scenario(qid, args.count, args.seed)
         scenarios[qid] = result
         print(f"{qid}: {result['submissions']} submissions "
               f"({result['unique']} unique), sequential "
@@ -194,8 +190,7 @@ def main(argv=None):
               f"cache hit-rate {result['cache_hit_rate']:.0%}, "
               f"byte-identical={result['byte_identical']}")
     if args.full:
-        result = run_scenario("Q1", max(20, args.count // 10), args.seed,
-                              args.processes)
+        result = run_scenario("Q1", max(20, args.count // 10), args.seed)
         scenarios["Q1"] = result
         print(f"Q1 (full): {result['speedup']}x")
 

@@ -5,7 +5,7 @@ Subcommands::
     repro hint --schema schema.json --target target.sql --working wrong.sql
     repro witness --schema schema.json --target target.sql --working wrong.sql
     repro grade-batch --schema schema.json --target target.sql \
-                      --submissions subs.json --processes 4
+                      --submissions subs.json --timeout-ms 5000
     repro grade-batch --workload userstudy --question Q4 --count 200
     repro serve --port 8100 [--schema schema.json --target target.sql]
     repro journal [--url http://host:port] [-n 50]
@@ -188,27 +188,18 @@ def build_parser():
     )
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument(
-        "--processes", type=int, default=None,
-        help="worker processes (default: cpu count; 1 = serial)",
-    )
-    batch.add_argument(
         "--max-sites", type=int, default=2, help="repair-site cap (default 2)"
     )
     batch.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="treat a worker pool that makes no progress for SECONDS as "
-        "hung and re-grade the unfinished forms on fresh workers "
-        "(default: no hang detection; crash detection is always on)",
-    )
-    batch.add_argument(
-        "--max-retries", type=int, default=2,
-        help="isolated re-grade attempts per form after a worker crash "
-        "or hang before recording a per-submission error (default 2)",
+        "--timeout-ms", type=float, default=None, metavar="N",
+        help="time budget for each unique form's grading pipeline; a form "
+        "that runs out is graded once, and all its submissions get its "
+        "degraded result",
     )
     batch.add_argument(
         "--witness", action="store_true",
         help="attach an executor-verified counterexample to every wrong "
-        "result (witness construction is sharded over the worker pool)",
+        "result",
     )
     batch.add_argument(
         "--show-hints", action="store_true",
@@ -235,10 +226,6 @@ def build_parser():
     corpus.add_argument(
         "--max-errors", type=int, default=2,
         help="maximum injected errors per entry (default 2)",
-    )
-    corpus.add_argument(
-        "--processes", type=int, default=None,
-        help="batch-grader worker processes (default: cpu count; 1 = serial)",
     )
     corpus.add_argument(
         "--max-sites", type=int, default=2, help="repair-site cap (default 2)"
@@ -406,6 +393,13 @@ def build_parser():
 # ----------------------------------------------------------------------
 
 
+def _timeout_ms(args):
+    """``--timeout-ms``: None, or a positive finite number of ms."""
+    if args.timeout_ms is not None and not 0 < args.timeout_ms < math.inf:
+        raise ValueError("--timeout-ms must be positive and finite")
+    return args.timeout_ms
+
+
 def _print_solver_stats(solver):
     snapshot = solver.stats_snapshot()
     print()
@@ -433,9 +427,7 @@ def cmd_hint(args):
         _read_sql(args, "working", "working_sql", "working"), catalog
     )
     deadline = None
-    if args.timeout_ms is not None:
-        if not 0 < args.timeout_ms < math.inf:
-            raise ValueError("--timeout-ms must be positive and finite")
+    if _timeout_ms(args) is not None:
         from repro.service.deadline import Deadline
 
         deadline = Deadline.after_ms(args.timeout_ms)
@@ -583,11 +575,9 @@ def cmd_grade_batch(args):
         catalog,
         target_sql,
         submissions,
-        processes=args.processes,
         max_sites=args.max_sites,
         witness=args.witness,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
+        timeout_ms=_timeout_ms(args),
     )
     stats = batch.stats()
     print(f"Graded {stats['submissions']} submissions "
@@ -595,10 +585,6 @@ def cmd_grade_batch(args):
           f"in {stats['elapsed']:.2f}s "
           f"({stats['throughput']:.1f}/s, "
           f"cache hit-rate {stats['cache_hit_rate']:.0%})")
-    recoveries = stats.get("recoveries") or {}
-    if any(recoveries.values()):
-        print("worker recoveries: "
-              + ", ".join(f"{k}={v}" for k, v in recoveries.items() if v))
     if args.show_hints:
         for i, result in enumerate(batch.results):
             print(f"\n--- submission {i} ---")
@@ -671,7 +657,6 @@ def cmd_corpus(args):
     result = evaluate_corpus(
         pool,
         schemas=schemas,
-        processes=args.processes,
         max_sites=args.max_sites,
         witness=args.witness,
         witness_limit=args.witness_limit,

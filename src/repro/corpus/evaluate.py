@@ -2,8 +2,8 @@
 
 For every ``(schema, target)`` group the harness runs
 :func:`repro.service.batch.grade_batch` (the production batch path:
-canonical-form dedup, optional multiprocessing, warm per-worker solvers)
-and folds the per-entry outcomes into corpus-level metrics:
+canonical-form dedup, one warm solver per group) and folds the
+per-entry outcomes into corpus-level metrics:
 
 * **grade success rate** -- share of entries graded without a pipeline
   error (parse failures and ``RepairError`` both count as errors);
@@ -35,8 +35,7 @@ and folds the per-entry outcomes into corpus-level metrics:
   work rather than pipeline bookkeeping.
 
 With ``trace_jsonl=PATH`` the batch grader also captures one span tree
-per unique graded form (serialized in the workers, re-parented in the
-parent) and writes them as JSON lines.
+per unique graded form and writes them as JSON lines.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class CorpusEvalResult:
     witness_found: int = 0
     grade_elapsed: float = 0.0
     witness_elapsed: float = 0.0
-    processes: int = 0
     by_schema: dict = field(default_factory=dict)
     by_kind: dict = field(default_factory=dict)
     #: ``(entry, GradeResult | GradeError)`` in corpus order.
@@ -120,7 +118,6 @@ class CorpusEvalResult:
             "grade_elapsed": round(self.grade_elapsed, 3),
             "witness_elapsed": round(self.witness_elapsed, 3),
             "throughput": round(self.throughput, 3),
-            "processes": self.processes,
             "by_schema": self.by_schema,
             "by_kind": self.by_kind,
         }
@@ -141,7 +138,6 @@ def evaluate_corpus(
     entries,
     *,
     schemas=None,
-    processes=None,
     max_sites=2,
     witness=False,
     witness_limit=40,
@@ -150,12 +146,12 @@ def evaluate_corpus(
     """Grade every corpus entry and aggregate a :class:`CorpusEvalResult`.
 
     ``entries`` is any iterable of :class:`~repro.corpus.generator
-    .CorpusEntry`.  ``processes`` is forwarded to :func:`grade_batch`
-    per ``(schema, target)`` group (``0``/``1`` grades serially).  With
-    ``witness=True`` the first ``witness_limit`` flagged entries (in
-    corpus order) also get a counterexample-generation attempt.  With
-    ``trace_jsonl`` set, one span tree per unique graded form is written
-    to that path as JSON lines (``{"schema", "target_sql", "trace"}``).
+    .CorpusEntry`, graded through :func:`grade_batch` one ``(schema,
+    target)`` group at a time.  With ``witness=True`` the first
+    ``witness_limit`` flagged entries (in corpus order) also get a
+    counterexample-generation attempt.  With ``trace_jsonl`` set, one
+    span tree per unique graded form is written to that path as JSON
+    lines (``{"schema", "target_sql", "trace"}``).
     """
     entries = list(entries)
     sources = {s.name: s for s in bundled_sources(schemas)}
@@ -174,21 +170,16 @@ def evaluate_corpus(
         session = sessions[schema, target_sql] = AssignmentSession(
             catalog, target_sql, max_sites=max_sites
         )
-        # A pool per tiny group costs more than it saves (worker startup
-        # re-parses the target); grade those serially in-process.
-        group_processes = 1 if len(group) < 4 else processes
         batch = grade_batch(
             catalog,
             target_sql,
             [e.wrong_sql for e in group],
-            processes=group_processes,
             max_sites=max_sites,
             session=session,
             trace=trace_jsonl is not None,
             effort=True,
         )
         result.grade_elapsed += time.perf_counter() - start
-        result.processes = max(result.processes, batch.processes)
         outcomes.extend(zip(group, batch.results))
         for trace in batch.traces:
             trace_records.append(

@@ -10,10 +10,9 @@ full parse/resolve/solver cost per submission; this package amortizes it:
 * :mod:`repro.service.cache` -- a bounded LRU artifact cache keyed by the
   canonical (alias-renamed) form of the submission, so identical and
   alpha-equivalent wrong answers are served memoized reports.
-* :mod:`repro.service.batch` -- a multiprocessing batch grader that shards
-  the *unique* canonical submissions across workers, merges solver
-  statistics, and survives worker crashes/hangs via per-form isolation
-  retries.
+* :mod:`repro.service.batch` -- a batch grader that grades each *unique*
+  canonical submission once in one session, each under its own deadline
+  when asked, and serves every duplicate from the cache.
 * :mod:`repro.service.server` -- a stdlib ``ThreadingHTTPServer`` JSON API
   (``POST /assignments``, ``POST /grade``, ``POST /witness``,
   ``GET /stats``) with admission control, read timeouts, and graceful

@@ -1,63 +1,49 @@
-"""Batch grader: grade each unique canonical form once, serially or on a pool.
+"""Batch grader: grade each unique canonical form once, in one session.
 
 Classroom piles are duplicate-heavy, so the batch grader splits grading
 into a cheap front half and an expensive back half:
 
-1. the parent parses + canonicalizes every submission (sub-millisecond
-   each) and groups them by canonical form;
-2. only the *unique* canonical queries are graded, each through one
-   function, :func:`_grade_form`: in the caller's session (the serial
-   path), or sharded across a process pool whose workers each hold a
-   persistent :class:`~repro.service.session.AssignmentSession` (one
-   target parse, one warm solver per worker) and send back the picklable
-   :class:`_Outcome` of every form;
-3. the parent seeds its own session with the workers' reports and
-   witnesses and serves every submission from its cache, so
-   per-submission results come out in input order, in each submitter's
-   alias namespace, and byte-identical to a sequential run.
+1. parse + canonicalize every submission (sub-millisecond each) and
+   group them by canonical form;
+2. grade only the *unique* canonical queries, each once through
+   :func:`_grade_form` in the caller's session (one target parse, one
+   warm solver), each pipeline run under its own deadline when the
+   caller sets ``timeout_ms``;
+3. serve every submission from that session's cache, so per-submission
+   results come out in input order, in each submitter's alias
+   namespace, and byte-identical to a sequential run.
 
 Each form's solver-effort delta is folded into the batch statistics.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import math
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
-from repro.obs import JOURNAL, REGISTRY, TRACER
+from repro.obs import TRACER
 from repro.obs.effort import (
     EFFORT_KEYS,
     effort_delta,
     effort_snapshot,
     merge_effort,
 )
-from repro.service.faults import FAULTS
-from repro.service.session import _NO_WITNESS, AssignmentSession
-
-_WORKER_RECOVERIES = REGISTRY.counter(
-    "repro_worker_recoveries_total",
-    "Batch worker fault-recovery events, by kind "
-    "(crash, hang, retry_ok, gave_up).",
-    ("kind",),
-)
+from repro.service.deadline import Deadline
+from repro.service.session import AssignmentSession
 
 
 @dataclass(frozen=True)
 class GradeError:
-    """A submission that could not be graded (parse/resolve/pipeline/worker).
+    """A submission that could not be graded (parse/resolve/pipeline).
 
     ``detail`` carries the innermost traceback frame of a failure while
-    grading a form, on either batch path, so batch errors are diagnosable
-    without re-running the form; empty for parse-stage errors (the
-    message is the whole story there) and for crashed or hung workers.
+    grading a form, so batch errors are diagnosable without re-running
+    the form; empty for parse-stage errors (the message is the whole
+    story there).
     """
 
     submission_sql: str
@@ -68,44 +54,42 @@ class GradeError:
 
 @dataclass(frozen=True)
 class _Outcome:
-    """What grading one unique form produced; picklable, so a pool worker
-    returns it as is."""
+    """What grading one unique form produced."""
 
     report: object = None  # the pipeline Report; None when the form failed
     error: tuple = None  # (message, kind, innermost frame) on failure
     effort: dict = field(default_factory=dict)  # solver-effort delta
-    #: The form's witness cache entry (a witness, or the cached-negative
-    #: marker) when this run generated one.
-    witness_entry: object = None
     trace: dict = None  # serialized span tree, with ``trace=True``
 
 
-def _grade_form(session, canonical, witness, trace):
+def _grade_form(session, canonical, witness, trace, timeout_ms):
     """Grade one unique canonical form in ``session``; never raises.
 
-    Both batch paths grade every form through here -- the serial path in
-    the caller's session, the pool path in a worker's -- so a form's
-    report, witness, effort delta and span tree mean the same on either.
     The effort delta and the span tree cover grading and, with
-    ``witness``, generating a wrong form's counterexample.  On success
-    the report and witness are left in ``session``'s cache; any failure
-    (expected ``ReproError``\\s and unexpected bugs alike, e.g.
-    ``RepairError`` when no viable repair exists under the site cap) is
-    recorded with its class name and innermost frame instead of raised:
-    one bad query must not abort the pile.
+    ``witness``, generating a wrong form's counterexample.  With
+    ``timeout_ms`` the pipeline run gets its own deadline; a form that
+    runs out comes back degraded and gets no witness.  The report (a
+    degraded one too, which :func:`grade_batch` drops once served) and
+    the witness are left in ``session``'s cache; any failure (expected
+    ``ReproError``\\s and unexpected bugs alike, e.g. ``RepairError``
+    when no viable repair exists under the site cap) is recorded with
+    its class name and innermost frame instead of raised: one bad query
+    must not abort the pile.
     """
     before = effort_snapshot(session.solver)
-    report = error = witness_entry = None
+    report = error = None
     scope = (
         TRACER.trace("grade", sql=canonical.to_sql()) if trace
         else nullcontext()
     )
     try:
         with scope:
-            report = session.grade_canonical(canonical)
-            if witness and not report.all_passed:
-                found = session.witness_canonical(canonical)
-                witness_entry = _NO_WITNESS if found is None else found
+            deadline = (
+                None if timeout_ms is None else Deadline.after_ms(timeout_ms)
+            )
+            report = session.grade_canonical(canonical, deadline=deadline)
+            if witness and not report.all_passed and not report.degraded:
+                session.witness_canonical(canonical)
         session.cache.put(canonical, report)
     except Exception as exc:
         report = None
@@ -114,7 +98,6 @@ def _grade_form(session, canonical, witness, trace):
         report=report,
         error=error,
         effort=effort_delta(before, effort_snapshot(session.solver)),
-        witness_entry=witness_entry,
         trace=scope.to_dict() if trace else None,
     )
 
@@ -127,24 +110,6 @@ def _innermost_frame():
     return ""
 
 
-# Worker-process state ``(session, witness, trace)``, set by ``_init_worker``.
-_WORKER = None
-
-
-def _init_worker(catalog, target, max_sites, witness, trace):
-    global _WORKER
-    session = AssignmentSession(catalog, target, max_sites=max_sites)
-    _WORKER = (session, witness, trace)
-
-
-def _grade_in_worker(canonical):
-    """Pool entry point: the chaos-harness fault hook, then :func:`_grade_form`."""
-    if FAULTS.enabled:  # crash/hang this worker on demand
-        FAULTS.on_task("batch.worker", payload=canonical.to_sql())
-    session, witness, trace = _WORKER
-    return _grade_form(session, canonical, witness, trace)
-
-
 @dataclass
 class BatchResult:
     """Outcome of one batch grading run."""
@@ -152,21 +117,13 @@ class BatchResult:
     results: list  # GradeResult | GradeError per submission, input order
     elapsed: float
     unique: int  # distinct canonical forms attempted
-    processes: int
     unique_failed: int = 0  # canonical forms whose pipeline run failed
     solver_stats: dict = field(default_factory=dict)
     cache_stats: dict = field(default_factory=dict)
     #: With ``trace=True``: one serialized span tree (the
-    #: :meth:`TraceHandle.to_dict` shape) per unique canonical form whose
-    #: grading returned, pipeline failures included (a form that gave up
-    #: after worker crashes or hangs has none).
+    #: :meth:`TraceHandle.to_dict` shape) per unique canonical form
+    #: graded, pipeline failures included.
     traces: list = field(default_factory=list)
-    #: Worker fault-recovery tallies for this run: ``crashes`` (pool
-    #: rounds broken by a dead worker), ``hangs`` (no-progress windows
-    #: that tripped ``task_timeout``), ``retried_ok`` (forms recovered by
-    #: an isolation retry), ``gave_up`` (forms recorded as
-    #: :class:`GradeError` after exhausting retries).
-    recoveries: dict = field(default_factory=dict)
 
     @property
     def submissions(self):
@@ -198,151 +155,12 @@ class BatchResult:
             "submissions": self.submissions,
             "unique": self.unique,
             "errors": self.errors,
-            "processes": self.processes,
             "elapsed": self.elapsed,
             "throughput": self.throughput,
             "cache_hit_rate": self.cache_hit_rate,
             "cache": self.cache_stats,
             "solver": self.solver_stats,
-            "recoveries": dict(self.recoveries),
         }
-
-
-def _pool_context():
-    # fork keeps the parsed catalog shared copy-on-write where available.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context("spawn")
-
-
-def _kill_executor(executor):
-    """Tear down an executor that may hold hung or dead workers.
-
-    ``shutdown`` alone would join hung workers forever; terminate the
-    processes first, then reap them with a bounded join.
-    """
-    processes = list(getattr(executor, "_processes", {}).values())
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    executor.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=5)
-
-
-def _grade_on_pool(forms, initargs, workers, task_timeout, max_retries,
-                   recoveries):
-    """Grade ``forms`` on a shared process pool; returns ``{form: _Outcome}``.
-
-    A worker that dies (``BrokenProcessPool`` fails every outstanding
-    future) or, with ``task_timeout`` set, a full window in which no
-    future completes (a hung worker) ends the shared round: completed
-    outcomes are kept and every unfinished form is handed to
-    :func:`_isolate_form`.
-    """
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=initargs,
-    )
-    futures = {executor.submit(_grade_in_worker, form): form for form in forms}
-    outcomes = {}
-    outstanding = set(futures)
-    reason = None
-    try:
-        while outstanding and reason is None:
-            done, outstanding = wait(
-                outstanding, timeout=task_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                # A full no-progress window: some worker is hung.  Every
-                # outstanding form is handed to isolation retries (the
-                # hung one will hang again solo and be blamed precisely).
-                reason = "hang"
-            for future in done:
-                try:
-                    outcomes[futures[future]] = future.result()
-                except Exception:
-                    # The worker died (BrokenProcessPool / lost result).
-                    # All remaining futures fail the same way, so stop the
-                    # round rather than churning through them.
-                    reason = "crash"
-    finally:
-        if reason is None:
-            executor.shutdown(wait=True)
-        else:
-            _kill_executor(executor)
-    if reason is not None:
-        recoveries["crashes" if reason == "crash" else "hangs"] += 1
-        _WORKER_RECOVERIES.inc(kind=reason)
-        JOURNAL.record(
-            "batch.pool_broken", reason=reason,
-            leftovers=len(forms) - len(outcomes),
-        )
-    for form in forms:
-        if form not in outcomes:
-            outcomes[form] = _isolate_form(
-                form, initargs, task_timeout, max_retries, recoveries
-            )
-    return outcomes
-
-
-def _isolate_form(canonical, initargs, task_timeout, max_retries, recoveries):
-    """Grade one leftover form alone, retrying on a fresh single worker.
-
-    Shared-pool failures cannot assign blame (a crashed worker fails every
-    outstanding future); grading each leftover solo does: an innocent
-    collateral form succeeds on the first isolation attempt (counted as
-    ``retried_ok``, whatever its grading outcome), the culprit keeps
-    failing and, after ``max_retries`` attempts with linear backoff, is
-    counted as ``gave_up`` and returned as an outcome carrying the
-    worker failure.
-    """
-    sql = canonical.to_sql()
-    failure = ("worker failed before reporting", "WorkerCrashError", "")
-    for attempt in range(1, max_retries + 1):
-        executor = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=initargs,
-        )
-        future = executor.submit(_grade_in_worker, canonical)
-        try:
-            outcome = future.result(timeout=task_timeout)
-            executor.shutdown(wait=True)
-            if attempt > 1:
-                _WORKER_RECOVERIES.inc(kind="retry_ok")
-            JOURNAL.record("batch.retry_ok", sql=sql, attempt=attempt)
-            recoveries["retried_ok"] += 1
-            return outcome
-        except FuturesTimeoutError:
-            failure = (
-                f"worker hung grading this form (> {task_timeout:g}s)",
-                "WorkerTimeoutError",
-                "",
-            )
-        except BrokenProcessPool:
-            failure = (
-                "worker process died grading this form",
-                "WorkerCrashError",
-                "",
-            )
-        except Exception as exc:  # e.g. an unpicklable result
-            failure = (str(exc), type(exc).__name__, "")
-        _kill_executor(executor)
-        JOURNAL.record(
-            "batch.retry", sql=sql, attempt=attempt, error=failure[1]
-        )
-        if attempt < max_retries:
-            time.sleep(0.05 * attempt)  # linear backoff before respawn
-    _WORKER_RECOVERIES.inc(kind="gave_up")
-    JOURNAL.record("batch.gave_up", sql=sql, error=failure[1])
-    recoveries["gave_up"] += 1
-    return _Outcome(error=failure)
 
 
 def grade_batch(
@@ -350,31 +168,26 @@ def grade_batch(
     target,
     submissions,
     *,
-    processes=None,
     max_sites=2,
     session=None,
     witness=False,
     trace=False,
     effort=False,
-    task_timeout=None,
-    max_retries=2,
+    timeout_ms=None,
 ):
     """Grade ``submissions`` (SQL strings) against one shared ``target``.
 
-    ``processes=None`` picks ``min(cpu_count, unique forms)``; ``0`` or
-    ``1`` grades serially in-process (same results, no pool: both paths
-    grade every unique form through :func:`_grade_form`).  Pass an
-    existing ``session`` to reuse its cache across batches.
+    Every unique canonical form is graded once, through
+    :func:`_grade_form`, in ``session``; pass an existing session to
+    reuse its cache across batches.
 
     ``trace=True`` puts one span tree per graded unique form on
     ``BatchResult.traces``.
 
     ``witness=True`` attaches an executor-verified counterexample to every
     wrong result.  Each unique wrong form's witness is generated right
-    after grading it, in the same session (generation is deterministic
-    per seed, so both paths give the same witnesses byte for byte); forms
-    already cached by a caller-supplied session fall back to generation
-    in the serve loop.
+    after grading it, in the same session; forms already cached by a
+    caller-supplied session fall back to generation in the serve loop.
 
     ``effort=True`` attaches the solver-effort counter delta of grading
     each unique canonical form (and generating its witness) to every
@@ -383,16 +196,15 @@ def grade_batch(
     carry an all-zero delta (no solver work was done for them in this
     batch).
 
-    The pool path is crash-tolerant: a worker that dies (or, with
-    ``task_timeout`` set, makes no progress for a full window) fails only
-    its own round -- completed results are kept, and every unfinished
-    form is re-graded alone on a fresh single worker, up to
-    ``max_retries`` attempts with backoff.  Forms that keep failing are
-    recorded as per-submission :class:`GradeError`\\s
-    (``WorkerCrashError`` / ``WorkerTimeoutError``) instead of aborting
-    the pile.  ``task_timeout=None`` (the default) disables hang
-    detection; crash detection is always on.
+    ``timeout_ms`` (positive and finite, else ``ValueError``) gives each
+    unique form's pipeline run its own deadline of that many
+    milliseconds.  A form that runs out is graded once, and every
+    submission of it gets that degraded result (``degraded=True``, no
+    witness); as with :meth:`AssignmentSession.grade`, no degraded report
+    stays in the session's cache.
     """
+    if timeout_ms is not None and not 0 < timeout_ms < math.inf:
+        raise ValueError("timeout_ms must be positive and finite")
     start = time.perf_counter()
     if session is None:
         session = AssignmentSession(
@@ -400,7 +212,7 @@ def grade_batch(
             cache_size=max(256, 2 * len(submissions) + 1),
         )
 
-    # Front half: dedupe by canonical form (cheap, stays in the parent).
+    # Front half: dedupe by canonical form (cheap).
     prepared = []
     unique = {}
     for sql in submissions:
@@ -413,7 +225,7 @@ def grade_batch(
         if canonical not in unique and canonical not in session.cache:
             unique[canonical] = None
     # A caller-supplied session may have a smaller cache than this pile
-    # has forms; grow it so every form referenced here (seeded now or
+    # has forms; grow it so every form referenced here (graded now or
     # already cached) survives until the serve loop.  With witnesses each
     # wrong form occupies a second slot under ("witness", canonical).
     distinct_forms = {
@@ -424,39 +236,17 @@ def grade_batch(
         (2 if witness else 1) * len(distinct_forms) + 16,
     )
 
-    pending = list(unique)
-    if processes is None:
-        processes = min(os.cpu_count() or 1, max(1, len(pending)))
-    recoveries = {"crashes": 0, "hangs": 0, "retried_ok": 0, "gave_up": 0}
-
-    # Back half: grade unique forms, sharded across workers when it pays.
-    pooled = processes > 1 and len(pending) > 1
-    if pooled:
-        initargs = (session.catalog, session.target, session.max_sites,
-                    witness, trace)
-        outcomes = _grade_on_pool(
-            pending, initargs, min(processes, len(pending)), task_timeout,
-            max_retries, recoveries,
-        )
-    else:
-        outcomes = {
-            canonical: _grade_form(session, canonical, witness, trace)
-            for canonical in pending
-        }
+    # Back half: grade each unique form once.
+    outcomes = {
+        canonical: _grade_form(session, canonical, witness, trace, timeout_ms)
+        for canonical in unique
+    }
     solver_stats = {}
-    failed = {}  # canonical form -> (message, kind, detail)
     traces = []
-    for canonical in pending:
-        outcome = outcomes[canonical]
+    for outcome in outcomes.values():
         merge_effort(solver_stats, outcome.effort)
         if outcome.trace is not None:
             traces.append(outcome.trace)
-        if outcome.error is not None:
-            failed[canonical] = outcome.error
-        elif pooled:
-            # Install what the worker graded, so the serve loop never
-            # re-runs the pipeline or the witness search for this form.
-            session.seed(canonical, outcome.report, outcome.witness_entry)
 
     # Serve every submission from the warm cache, preserving input order.
     results = []
@@ -464,30 +254,31 @@ def grade_batch(
         if isinstance(entry, GradeError):
             results.append(entry)
             continue
-        canonical, _ = entry
-        if canonical in failed:
-            message, kind, detail = failed[canonical]
-            results.append(GradeError(sql, message, kind, detail))
+        outcome = outcomes.get(entry[0])
+        if outcome is not None and outcome.error is not None:
+            results.append(GradeError(sql, *outcome.error))
             continue
         result = session.grade(sql, witness=witness, _prepared=entry)
         if effort:
-            graded = outcomes.get(canonical)
             result = replace(
                 result,
                 effort=(
-                    graded.effort if graded is not None
+                    outcome.effort if outcome is not None
                     else dict.fromkeys(EFFORT_KEYS, 0)
                 ),
             )
         results.append(result)
+    # A degraded report answers this batch only: a later grade of the
+    # form with a larger budget must run the pipeline again.
+    for canonical, outcome in outcomes.items():
+        if outcome.report is not None and outcome.report.degraded:
+            session.cache.discard(canonical)
     return BatchResult(
         results=results,
         elapsed=time.perf_counter() - start,
-        unique=len(pending),
-        processes=processes,
-        unique_failed=len(failed),
+        unique=len(outcomes),
+        unique_failed=sum(o.error is not None for o in outcomes.values()),
         solver_stats=solver_stats,
         cache_stats=session.cache.stats(),
         traces=traces,
-        recoveries=recoveries,
     )

@@ -96,6 +96,10 @@ class ArtifactCache:
                 "cache.evict", evicted=evicted, evictions=self.evictions
             )
 
+    def discard(self, key):
+        with self._lock:
+            self._entries.pop(key, None)
+
     def __len__(self):
         with self._lock:
             return len(self._entries)

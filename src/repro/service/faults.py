@@ -1,30 +1,21 @@
 """Deterministic fault injection for the serving stack.
 
 Production code is instrumented with *named fault points* -- e.g.
-``FAULTS.on_task("batch.worker", ...)`` in the pool worker,
 ``FAULTS.sleep("solver.slow")`` in the DPLL(T) round loop,
 ``FAULTS.raise_io("spill.io")`` in the cache spiller -- that are
 zero-cost no-ops unless the matching point has been activated.  Tests
 (``tests/test_faults.py``) and the CI ``chaos-smoke`` job activate
 points through :meth:`FaultRegistry.activate` or the ``REPRO_FAULTS``
-environment variable, which survives ``fork`` into pool workers:
+environment variable, read when this module is imported:
 
-    REPRO_FAULTS="batch.worker:mode=exit,n=2;solver.slow:ms=50"
+    REPRO_FAULTS="spill.io:n=2;solver.slow:ms=50"
 
-Every activation is deterministic: a point either always fires, fires on
-the *n*-th hit of a process-wide counter, or fires when the task payload
-matches a substring -- no randomness, so a failing chaos test replays
-exactly.
+Every activation is deterministic: a point either always fires or fires
+on the *n*-th hit of a process-wide counter -- no randomness, so a
+failing chaos test replays exactly.
 
 Fault points (see ``docs/service.md``):
 
-``batch.worker``
-    In-worker crash/hang injection.  ``mode=exit`` calls ``os._exit(1)``
-    (simulates a segfaulted/OOM-killed worker), ``mode=hang`` sleeps
-    ``hang_s`` seconds (default 3600 -- practically forever; the parent's
-    ``task_timeout`` recovery path must fire first).  Select the victim
-    task with ``n=<k>`` (the k-th task gr aded by this process, 1-based)
-    or ``match=<substr>`` (against the canonical SQL).
 ``solver.slow``
     Sleep ``ms`` milliseconds per DPLL(T) round -- makes any query
     arbitrarily slow so deadline/degradation paths can be exercised with
@@ -75,16 +66,12 @@ class FaultPoint:
         except ValueError:
             return default
 
-    def should_fire(self, payload: str | None = None) -> bool:
-        """Deterministic trigger: every hit, the ``n``-th hit, or a match.
+    def should_fire(self) -> bool:
+        """Deterministic trigger: every hit, or only the ``n``-th.
 
-        Increments the hit counter on every call (so ``n`` counts calls,
-        not matches).
+        Increments the hit counter on every call.
         """
         self.hits += 1
-        match = self.params.get("match")
-        if match is not None:
-            return payload is not None and match in payload
         nth = self.int_param("n", 0)
         if nth:
             return self.hits == nth
@@ -132,8 +119,8 @@ class FaultRegistry:
     def load_env(self, spec: str | None = None) -> None:
         """Parse ``REPRO_FAULTS`` (``point:k=v,k=v;point2:...``).
 
-        Called at import so pool workers spawned with any start method
-        inherit activations through the environment.
+        Called at import, so a process started with the variable set
+        runs with those points active from the start.
         """
         if spec is None:
             spec = os.environ.get(ENV_VAR, "")
@@ -171,24 +158,6 @@ class FaultRegistry:
         if point.should_fire():
             JOURNAL.record("fault.fired", point=name)
             raise OSError(f"injected fault: {name}")
-
-    def on_task(self, name: str, payload: str | None = None) -> None:
-        """Crash or hang the current process at a worker fault point.
-
-        ``mode=exit`` hard-exits (bypassing ``finally`` blocks, like a
-        real segfault); ``mode=hang`` sleeps ``hang_s`` seconds.
-        """
-        point = self.active(name)
-        if point is None:
-            return
-        if not point.should_fire(payload):
-            return
-        mode = point.params.get("mode", "exit")
-        JOURNAL.record("fault.fired", point=name, mode=mode, pid=os.getpid())
-        if mode == "hang":
-            time.sleep(point.float_param("hang_s", 3600.0))
-        else:
-            os._exit(1)
 
 
 #: The process-wide registry, seeded from ``REPRO_FAULTS`` at import.

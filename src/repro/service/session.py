@@ -47,7 +47,7 @@ _SQL_LITERAL = re.compile(r"'[^']*'")
 
 #: Cached marker for "witness generation ran and found nothing", so the
 #: expensive search is not repeated per duplicate submission.  A plain
-#: string keeps worker-pickled cache payloads trivially serializable.
+#: string keeps the cache spill trivially serializable.
 _NO_WITNESS = "__no_witness__"
 
 _GRADE_SECONDS = REGISTRY.histogram(
@@ -322,8 +322,8 @@ class AssignmentSession:
         Returns ``(canonical_query, inverse_alias_mapping)``; the inverse
         mapping translates canonical ``_sN`` aliases back to the
         submitter's.  This is the cheap (sub-millisecond) front half of
-        grading, split out so the batch grader can dedupe before fanning
-        the expensive half out to workers.
+        grading, split out so the batch grader can dedupe before running
+        the expensive half once per unique form.
         """
         if isinstance(submission, str):
             working = parse_query_extended(submission, self.catalog)
@@ -453,21 +453,6 @@ class AssignmentSession:
         self.pipeline_runs += 1
         self.pipeline_elapsed_total += report.elapsed
         return report
-
-    def seed(self, canonical, report, witness_entry=None):
-        """Install a report graded in another process (a batch worker).
-
-        ``witness_entry`` is the worker's witness cache entry for the form
-        (a witness, or the cached-negative marker) when it generated one.
-        The pipeline run and witness search count as this session's, so
-        :meth:`stats` reads as if it had graded the form itself.
-        """
-        self.cache.put(canonical, report)
-        self.pipeline_runs += 1
-        self.pipeline_elapsed_total += report.elapsed
-        if witness_entry is not None:
-            self.cache.put(("witness", canonical), witness_entry)
-            self.witness_runs += 1
 
     # -- disk spill -----------------------------------------------------
 

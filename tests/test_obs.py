@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.catalog import Catalog
-from repro.obs import TRACER, MetricsRegistry, log_buckets
+from repro.obs import REGISTRY, TRACER, MetricsRegistry, log_buckets
 from repro.obs.export import parse_prometheus_text, service_metric_families
 from repro.obs.metrics import render_families
 from repro.obs.trace import _NULL_SPAN
@@ -238,6 +238,16 @@ class TestMetrics:
         with pytest.raises(ValueError):
             parse_prometheus_text(bad)
 
+    def test_batch_records_stage_seconds_in_this_process(self):
+        # Every unique form's pipeline run observes this process's stage
+        # histogram, whatever grade_batch's arguments.
+        stage_seconds = REGISTRY.get("repro_stage_seconds")
+        before = stage_seconds.count(stage="FROM")
+        subs = [f"SELECT bar FROM Serves WHERE price > {i}" for i in range(3)]
+        batch = grade_batch(catalog(), TARGET, subs)
+        assert batch.unique == 3
+        assert stage_seconds.count(stage="FROM") == before + 3
+
     def test_parser_accepts_histogram_with_no_samples_yet(self):
         families = parse_prometheus_text("# TYPE h histogram\n")
         assert families["h"] == {"kind": "histogram", "help": "",
@@ -307,9 +317,7 @@ class TestTracedGrading:
     def test_batch_traces_serialize_and_reparent(self):
         subs = [WRONG, WRONG, "SELECT beer FROM Serves WHERE price < 2"]
         with TRACER.trace("batch") as handle:
-            batch = grade_batch(
-                catalog(), TARGET, subs, processes=1, trace=True
-            )
+            batch = grade_batch(catalog(), TARGET, subs, trace=True)
         assert len(batch.traces) == batch.unique == 2
         for trace in batch.traces:
             names = [s["name"] for s in trace["spans"]]
@@ -320,19 +328,8 @@ class TestTracedGrading:
         parent_names = [s["name"] for s in handle.to_dict()["spans"]]
         assert parent_names.count("grade") == 2
 
-    def test_multiprocess_batch_traces(self):
-        subs = [WRONG, "SELECT beer FROM Serves WHERE price < 2"]
-        batch = grade_batch(
-            catalog(), TARGET, subs, processes=2, trace=True
-        )
-        assert batch.processes == 2
-        assert len(batch.traces) == 2
-        for trace in batch.traces:
-            names = [s["name"] for s in trace["spans"]]
-            assert "pipeline.run" in names
-
     def test_untraced_batch_has_no_traces(self):
-        batch = grade_batch(catalog(), TARGET, [WRONG], processes=1)
+        batch = grade_batch(catalog(), TARGET, [WRONG])
         assert batch.traces == []
 
 
@@ -450,14 +447,11 @@ class TestEffortAttribution:
         for span in stage_spans:
             assert all(v for v in span["attrs"]["effort"].values())
 
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_batch_effort_per_form(self, processes):
+    def test_batch_effort_per_form(self):
         from repro.obs import EFFORT_KEYS
 
         subs = [WRONG, WRONG, "SELECT beer FROM Serves WHERE price < 2"]
-        batch = grade_batch(
-            catalog(), TARGET, subs, processes=processes, effort=True
-        )
+        batch = grade_batch(catalog(), TARGET, subs, effort=True)
         efforts = [r.effort for r in batch.results]
         assert all(e is not None for e in efforts)
         assert all(set(EFFORT_KEYS) <= set(e) for e in efforts)
@@ -465,28 +459,14 @@ class TestEffortAttribution:
         assert efforts[0] == efforts[1]
         assert efforts[0]["sat_calls"] >= 1
         assert efforts[2]["sat_calls"] >= 1
-
-    def test_batch_paths_agree_on_effort_with_witnesses(self):
-        # Both paths grade each unique form and generate its witness in
-        # the same measured window, so they report the same work.
-        from repro.workloads import dblp, userstudy
-
-        q4 = next(q for q in dblp.QUESTIONS if q.qid == "Q4")
-        pool = userstudy.submission_pool(q4, count=24, seed=3)
-        serial, pooled = (
-            grade_batch(
-                dblp.catalog(), q4.correct_sql, pool,
-                processes=processes, witness=True, effort=True,
-            )
-            for processes in (1, 2)
+        # Only a form cached before the batch carries an all-zero delta.
+        session = AssignmentSession(catalog(), TARGET)
+        session.grade(WRONG)
+        warm = grade_batch(
+            catalog(), TARGET, [WRONG], session=session, effort=True
         )
-        assert pooled.processes == 2
-        assert [r.effort for r in serial.results] == [
-            r.effort for r in pooled.results
-        ]
-        assert serial.solver_stats == pooled.solver_stats
-        assert any(r.witness is not None for r in serial.results)
+        assert warm.results[0].effort == dict.fromkeys(EFFORT_KEYS, 0)
 
     def test_batch_without_effort_leaves_field_none(self):
-        batch = grade_batch(catalog(), TARGET, [WRONG], processes=1)
+        batch = grade_batch(catalog(), TARGET, [WRONG])
         assert batch.results[0].effort is None

@@ -188,36 +188,18 @@ class TestBatchGrading:
             format_report(grade(dblp_catalog, question.correct_sql, sql))
             for sql in pool
         ]
-        batch = grade_batch(
-            dblp_catalog, question.correct_sql, pool, processes=2
-        )
+        batch = grade_batch(dblp_catalog, question.correct_sql, pool)
         assert [r.text() for r in batch.results] == sequential
 
-    def test_serial_and_parallel_agree(self, dblp_catalog, question, pool):
-        serial = grade_batch(
-            dblp_catalog, question.correct_sql, pool, processes=1
-        )
-        parallel = grade_batch(
-            dblp_catalog, question.correct_sql, pool, processes=2
-        )
-        assert [r.text() for r in serial.results] == [
-            r.text() for r in parallel.results
-        ]
-        assert serial.unique == parallel.unique
-
     def test_duplicate_heavy_pool_hits_cache(self, dblp_catalog, question, pool):
-        batch = grade_batch(
-            dblp_catalog, question.correct_sql, pool, processes=1
-        )
+        batch = grade_batch(dblp_catalog, question.correct_sql, pool)
         assert batch.unique < len(pool) // 2
         assert batch.cache_hit_rate > 0.5
         assert batch.stats()["solver"]["sat_calls"] > 0
 
     def test_bad_submissions_become_grade_errors(self, dblp_catalog, question):
         pool = [question.wrong_sql, "SELEKT nope", question.wrong_sql]
-        batch = grade_batch(
-            dblp_catalog, question.correct_sql, pool, processes=1
-        )
+        batch = grade_batch(dblp_catalog, question.correct_sql, pool)
         assert batch.errors == 1
         assert isinstance(batch.results[1], GradeError)
         assert batch.results[1].kind == "ParseError"
@@ -229,18 +211,16 @@ class TestBatchGrading:
         target = "SELECT beer FROM Serves WHERE price > 2 AND bar = 'Joyce'"
         equivalent = "SELECT serves.beer FROM Serves WHERE 2 < price AND bar = 'Joyce'"
         unrepairable = "SELECT beer FROM Serves WHERE price < 1 OR bar = 'Moe'"
-        for processes in (1, 2):
-            batch = grade_batch(
-                beers_catalog,
-                target,
-                [equivalent, unrepairable, equivalent],
-                processes=processes,
-                max_sites=0,
-            )
-            assert batch.errors == 1
-            assert isinstance(batch.results[1], GradeError)
-            assert batch.results[1].kind == "RepairError"
-            assert batch.results[0].all_passed and batch.results[2].all_passed
+        batch = grade_batch(
+            beers_catalog,
+            target,
+            [equivalent, unrepairable, equivalent],
+            max_sites=0,
+        )
+        assert batch.errors == 1
+        assert isinstance(batch.results[1], GradeError)
+        assert batch.results[1].kind == "RepairError"
+        assert batch.results[0].all_passed and batch.results[2].all_passed
 
     def test_hit_rate_stays_sane_when_unique_forms_fail(self, beers_catalog):
         target = "SELECT beer FROM Serves WHERE price > 2 AND bar = 'Joyce'"
@@ -251,9 +231,7 @@ class TestBatchGrading:
             "SELECT beer FROM Serves WHERE price < 1 OR bar = 'Zed'",
             equivalent,
         ]
-        batch = grade_batch(
-            beers_catalog, target, pool, processes=1, max_sites=0
-        )
+        batch = grade_batch(beers_catalog, target, pool, max_sites=0)
         assert batch.unique == 3 and batch.unique_failed == 2
         assert batch.errors == 2
         # 2 graded submissions over 1 successful form -> 50%, never negative.
@@ -263,7 +241,7 @@ class TestBatchGrading:
         self, beers_catalog, monkeypatch
     ):
         # A failure outside ReproError fails only its own form, with its
-        # kind and innermost frame, as on the pool path.
+        # kind and innermost frame.
         target = "SELECT beer FROM Serves WHERE price > 2"
         pool = [f"SELECT beer FROM Serves WHERE price > {i}" for i in range(4)]
         bad, _ = AssignmentSession(beers_catalog, target).prepare(pool[1])
@@ -275,7 +253,7 @@ class TestBatchGrading:
             return original(session, canonical, deadline)
 
         monkeypatch.setattr(AssignmentSession, "grade_canonical", flaky)
-        batch = grade_batch(beers_catalog, target, pool, processes=1)
+        batch = grade_batch(beers_catalog, target, pool)
         failure = batch.results[1]
         assert isinstance(failure, GradeError)
         assert (failure.kind, failure.error) == ("RuntimeError", "boom")
@@ -673,7 +651,6 @@ class TestCliSubcommands:
                 "--schema", schema_file,
                 "--target-sql", TARGET,
                 "--submissions", str(subs),
-                "--processes", "1",
                 "--json", str(out_path),
             ]
         )
@@ -701,7 +678,6 @@ class TestCliSubcommands:
                 "--schema", schema_file,
                 "--target-sql", "SELECT beer FROM Serves WHERE price > 2",
                 "--submissions", str(subs),
-                "--processes", "1",
                 "--max-sites", "0",
                 "--show-hints",
                 "--json", str(out_path),
@@ -742,7 +718,6 @@ class TestCliSubcommands:
                 "--workload", "userstudy",
                 "--question", "Q4",
                 "--count", "12",
-                "--processes", "1",
             ]
         )
         assert code == 0
@@ -767,16 +742,26 @@ class TestCliSubcommands:
         assert code == 2
         assert "invalid schema" in capsys.readouterr().err
 
-    def test_hint_non_finite_timeout_exits_2(self, schema_file, capsys):
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["hint", "grade-batch"])
+    def test_hint_non_finite_timeout_exits_2(
+        self, schema_file, tmp_path, capsys, command, value
+    ):
         from repro.cli import main
 
+        subs = tmp_path / "subs.json"
+        subs.write_text(json.dumps([WRONG]))
+        working = {
+            "hint": ["--working-sql", WRONG],
+            "grade-batch": ["--submissions", str(subs)],
+        }[command]
         code = main(
             [
-                "hint",
+                command,
                 "--schema", schema_file,
                 "--target-sql", TARGET,
-                "--working-sql", WRONG,
-                "--timeout-ms", "nan",
+                *working,
+                "--timeout-ms", value,
             ]
         )
         assert code == 2
@@ -1056,61 +1041,6 @@ class TestCacheDiskSpill:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "cannot load" in err and "another target" in err
-
-
-class TestWitnessFanout:
-    """Witness construction sharded over the batch worker pool."""
-
-    @pytest.fixture(scope="class")
-    def question(self):
-        return next(q for q in dblp.QUESTIONS if q.qid == "Q4")
-
-    @pytest.fixture(scope="class")
-    def pool(self, question):
-        return userstudy.submission_pool(question, count=24, seed=3)
-
-    def test_parallel_witnesses_match_serial(
-        self, dblp_catalog, question, pool
-    ):
-        # Witnesses are deterministic per seed, so the sharded run must
-        # reproduce the serial one exactly.  (`Witness.elapsed` is
-        # compare=False, so == already ignores wall-clock noise.)
-        serial = grade_batch(
-            dblp_catalog, question.correct_sql, pool,
-            processes=1, witness=True,
-        )
-        parallel = grade_batch(
-            dblp_catalog, question.correct_sql, pool,
-            processes=2, witness=True,
-        )
-        assert [r.text() for r in serial.results] == [
-            r.text() for r in parallel.results
-        ]
-        witnessed = 0
-        for left, right in zip(serial.results, parallel.results):
-            assert left.witness == right.witness
-            if left.witness is not None:
-                witnessed += 1
-        assert witnessed > 0, "pool produced no witnessed failures"
-
-    def test_parallel_run_seeds_parent_witness_cache(
-        self, dblp_catalog, question, pool
-    ):
-        # The serve loop must be fed from worker-built witness entries,
-        # not regenerate them: every wrong form's witness slot is already
-        # in the parent cache when grade_batch returns.
-        session = AssignmentSession(
-            dblp_catalog, question.correct_sql, cache_size=256
-        )
-        batch = grade_batch(
-            dblp_catalog, question.correct_sql, pool,
-            processes=2, witness=True, session=session,
-        )
-        for result in batch.results:
-            if isinstance(result, GradeError) or result.all_passed:
-                continue
-            canonical, _ = session.prepare(result.submission_sql)
-            assert ("witness", canonical) in session.cache
 
 
 class TestCacheSpiller:

@@ -244,7 +244,7 @@ class TestSessionWitness:
 
     def test_batch_results_carry_no_witness(self, beers_catalog):
         batch = grade_batch(
-            beers_catalog, self.TARGET, [self.WRONG, self.WRONG], processes=1
+            beers_catalog, self.TARGET, [self.WRONG, self.WRONG]
         )
         assert all(result.witness is None for result in batch.results)
 
