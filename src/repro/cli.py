@@ -250,8 +250,7 @@ def build_parser():
     )
     corpus.add_argument(
         "--trace-jsonl", metavar="PATH",
-        help="export one span tree per unique graded form as JSON lines "
-        "(captured in the batch workers and re-parented)",
+        help="export one span tree per unique graded form as JSON lines",
     )
     corpus.add_argument(
         "--list-schemas", action="store_true",
@@ -743,7 +742,9 @@ def cmd_serve(args):
                  admission=admission, read_timeout=args.read_timeout,
                  max_timeout_ms=args.max_timeout_ms,
                  drain_timeout=args.drain_timeout)
-    if args.cache_file:
+    # A spiller's final flush in serve() is the only shutdown write: after
+    # a join timeout its thread may still hold the temp file save() uses.
+    if args.cache_file and spiller is None:
         count = session.save(args.cache_file)
         print(f"saved {count} cached artifact(s) to {args.cache_file}")
     return code

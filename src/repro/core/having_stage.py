@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.where_repair import repair_where
-from repro.logic.formulas import TRUE, conj
+from repro.logic.formulas import TRUE, conj, map_atoms
 from repro.solver.aggregates import HavingContext, scalarize_formula
 
 
@@ -26,12 +26,15 @@ class HavingAnalysis:
     aggregates: frozenset = frozenset()  # canonical AggCall terms
 
     def descalarize(self, formula):
-        """Map scalar aggregate variables back to aggregate calls."""
-        from repro.logic.substitute import substitute
+        """Map scalar aggregate variables back to aggregate calls, keeping
+        the tree shape: the result renders exactly as ``formula`` does."""
+        from repro.logic.substitute import substitute_term
         from repro.solver.aggregates import agg_scalar_var
 
         mapping = {agg_scalar_var(agg): agg for agg in self.aggregates}
-        return substitute(formula, mapping)
+        return map_atoms(formula, lambda atom: atom.map_sides(
+            lambda side: substitute_term(side, mapping)
+        ))
 
 
 def split_having(where, group_terms, having):

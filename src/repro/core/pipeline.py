@@ -28,6 +28,7 @@ from repro.core.select_stage import apply_select_fix, fix_select
 from repro.core.table_mapping import unify_target
 from repro.core.where_repair import repair_where
 from repro.errors import RepairError
+from repro.logic.formulas import simplify
 from repro.obs import JOURNAL, REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot, nonzero
 from repro.query import ResolvedQuery
@@ -71,8 +72,8 @@ class Report:
 
     Reports are cache-safe: ``run()`` freezes the stage list and each
     stage's hints into tuples, so a report memoized by the service layer
-    (``repro.service``) can be shared across threads and pickled to batch
-    workers without aliasing mutable state.
+    (``repro.service``) can be shared across threads without aliasing
+    mutable state.
     """
 
     stages: tuple
@@ -208,7 +209,9 @@ class QrHint:
                     span.set(effort=nonzero(effort_delta(before, after)))
             result.query_after = working
         except DeadlineExceeded:
-            result = self._degraded_stage_result(name)
+            # One coarse stage-level hint stands in for the unfinished stage.
+            hint = hint_templates.Hint(name, "degraded")
+            result = StageResult(name, passed=False, hints=[hint])
             _DEADLINE_EXPIRED.inc(stage=name)
             _DEGRADED.inc()
             JOURNAL.record(
@@ -222,19 +225,6 @@ class QrHint:
                 stages.append(result)
                 _STAGE_SECONDS.observe(result.elapsed, stage=name)
         return working
-
-    def _degraded_stage_result(self, stage):
-        """The coarse stage-level hint standing in for an unfinished stage."""
-        hint = hint_templates.Hint(
-            stage=stage,
-            kind="degraded",
-            message=(
-                f"time budget exhausted while grading the {stage} stage; "
-                "earlier stages are exact -- retry with a larger timeout "
-                "for a precise hint"
-            ),
-        )
-        return StageResult(stage, passed=False, hints=[hint])
 
     def _unify(self, working):
         """Share the working query's aliases; split HAVING (untimed).
@@ -311,11 +301,12 @@ class QrHint:
             if not repaired.found:
                 raise RepairError("HAVING stage found no viable repair")
             result.hints = hint_templates.predicate_repair_hints(
-                "HAVING", repaired.repair, analysis.working_scalar
+                "HAVING", repaired.repair, analysis.working_scalar,
+                analysis.descalarize,
             )
             fixed_scalar = repaired.repair.apply(analysis.working_scalar)
             working = replace(
-                working, having=analysis.descalarize(fixed_scalar)
+                working, having=simplify(analysis.descalarize(fixed_scalar))
             )
         return result, working
 

@@ -1,13 +1,14 @@
 """Variable substitution over terms and formulas, on the shared maps.
 
 :func:`substitute` returns a flattened formula (it rebuilds through
-``simplify``); the shape-preserving alias renamer is
-:meth:`repro.query.ResolvedQuery.rename_aliases`.
+``simplify``); :func:`alias_renamer` is the shape-preserving alias
+renamer behind :meth:`repro.query.ResolvedQuery.rename_aliases` and
+:meth:`repro.core.hints.Hint.rename_aliases`.
 """
 
 from __future__ import annotations
 
-from repro.logic.formulas import map_atoms, simplify
+from repro.logic.formulas import Formula, map_atoms, simplify
 from repro.logic.terms import Term, Var, map_term
 
 
@@ -31,6 +32,36 @@ def substitute(formula, mapping):
         return atom.map_sides(lambda side: substitute_term(side, mapping))
 
     return simplify(map_atoms(formula, replace_atom))
+
+
+def alias_renamer(mapping):
+    """A function renaming the alias of every ``alias.column`` variable.
+
+    ``mapping`` maps old alias -> new alias; renaming is simultaneous
+    (``{"a": "b", "b": "a"}`` swaps).  The function takes a term or a
+    formula, descends into aggregate arguments, and keeps a formula's
+    AND/OR/NOT tree shape node for node (:func:`map_atoms`); any other
+    value (None, a table name) comes back unchanged.
+    """
+
+    def rename_var(node):
+        if isinstance(node, Var):
+            alias, _, column = node.name.partition(".")
+            if alias in mapping:
+                return Var(f"{mapping[alias]}.{column}", node.vtype)
+        return node
+
+    def rename_term(term):
+        return map_term(term, rename_var)
+
+    def rename(node):
+        if isinstance(node, Term):
+            return rename_term(node)
+        if isinstance(node, Formula):
+            return map_atoms(node, lambda atom: atom.map_sides(rename_term))
+        return node
+
+    return rename
 
 
 def rename_variables(obj, rename):

@@ -25,10 +25,9 @@ core itself records no events).  The
 buffer is bounded (default 2048 events), so sustained traffic can never
 grow it; old events fall off the far end.
 
-The journal is **per process**: batch workers record into their own
-buffers, which die with the worker.  That is the flight-recorder trade
--- the serving process, where debugging happens, is the one whose
-history matters.
+The journal is **per process**: the serving process, where debugging
+happens, is the one whose history matters, and batch grading records
+into the same journal as the code that called it.
 """
 
 from __future__ import annotations

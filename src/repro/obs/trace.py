@@ -13,8 +13,8 @@ handle exposes the finished span tree (``to_dict()`` / ``tree()`` /
 already active captures a *subtree*: the spans recorded under the nested
 root also stay in the outer trace, so per-request capture (``"trace":
 true``) composes with server-wide slow-request tracing.  A handle's
-``to_dict()`` is JSON-safe and picklable, which is how batch workers send
-a form's span tree back (see ``BatchResult.traces``).
+``to_dict()`` is JSON-safe, which is how the batch grader hands back
+each form's span tree (see ``BatchResult.traces``).
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from repro.logic.formulas import TRUE, Formula, map_atoms
-from repro.logic.terms import Term, Var, map_term
+from repro.logic.formulas import TRUE, Formula
+from repro.logic.substitute import alias_renamer
+from repro.logic.terms import Term
 
 
 @dataclass(frozen=True)
@@ -83,30 +84,17 @@ class ResolvedQuery:
         target with the working query under a table mapping (Definition 1)
         and to map submissions to and from their canonical form.
         """
-
-        def rename_var(node):
-            if isinstance(node, Var):
-                alias, _, column = node.name.partition(".")
-                if alias in mapping:
-                    return Var(f"{mapping[alias]}.{column}", node.vtype)
-            return node
-
-        def rename_term(term):
-            return map_term(term, rename_var)
-
-        def rename_atom(atom):
-            return atom.map_sides(rename_term)
-
+        rename = alias_renamer(mapping)
         return replace(
             self,
             from_entries=tuple(
                 FromEntry(e.table, mapping.get(e.alias, e.alias))
                 for e in self.from_entries
             ),
-            where=map_atoms(self.where, rename_atom),
-            group_by=tuple(map(rename_term, self.group_by)),
-            having=map_atoms(self.having, rename_atom),
-            select=tuple(map(rename_term, self.select)),
+            where=rename(self.where),
+            group_by=tuple(map(rename, self.group_by)),
+            having=rename(self.having),
+            select=tuple(map(rename, self.select)),
         )
 
     # -- rendering --------------------------------------------------------

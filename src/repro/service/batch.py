@@ -179,7 +179,9 @@ def grade_batch(
 
     Every unique canonical form is graded once, through
     :func:`_grade_form`, in ``session``; pass an existing session to
-    reuse its cache across batches.
+    reuse its cache across batches.  A result is ``cached`` unless it is
+    the first submission of a form graded in this batch or a submission
+    of a degraded form.
 
     ``trace=True`` puts one span tree per graded unique form on
     ``BatchResult.traces``.
@@ -249,16 +251,25 @@ def grade_batch(
             traces.append(outcome.trace)
 
     # Serve every submission from the warm cache, preserving input order.
+    # The first submission of a form graded here paid for its pipeline
+    # run, and a degraded form is never cached, so neither is a cache hit.
     results = []
+    unserved = set(outcomes)
     for sql, entry in zip(submissions, prepared):
         if isinstance(entry, GradeError):
             results.append(entry)
             continue
-        outcome = outcomes.get(entry[0])
+        canonical = entry[0]
+        outcome = outcomes.get(canonical)
         if outcome is not None and outcome.error is not None:
             results.append(GradeError(sql, *outcome.error))
             continue
         result = session.grade(sql, witness=witness, _prepared=entry)
+        if outcome is not None and (
+            canonical in unserved or outcome.report.degraded
+        ):
+            unserved.discard(canonical)
+            result = replace(result, cached=False)
         if effort:
             result = replace(
                 result,

@@ -23,9 +23,10 @@ from collections import OrderedDict
 
 from repro.obs import JOURNAL, TRACER
 
-#: Prefix for canonical alias names.  Deliberately not a legal student
-#: alias style (leading underscore) so remapping back to the submitter's
-#: aliases can use plain word-boundary matching on hint text.
+#: Prefix for canonical alias names.  Any prefix would do: the session
+#: renames hint, witness and query data back to the submitter's aliases,
+#: never rendered text, so a submitter alias or a column spelled like a
+#: canonical name is harmless.
 CANON_ALIAS_PREFIX = "_s"
 
 

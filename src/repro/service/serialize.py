@@ -34,7 +34,7 @@ from repro.witness.build import Witness
 
 #: Format version written by ``AssignmentSession.save``; ``load`` accepts
 #: no other.
-VERSION = 4
+VERSION = 5
 
 #: The classes a spill may hold, by the name it records for them.
 CLASSES = {

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core.hints import Hint
+from repro.core.from_stage import fresh_alias
 from repro.core.pipeline import QrHint
 from repro.obs import REGISTRY, TRACER
 from repro.obs.effort import effort_delta, effort_snapshot
@@ -41,9 +40,6 @@ from repro.witness import (
     witness_divergence_sentence,
     witness_to_dict,
 )
-
-_CANON_TOKEN = re.compile(r"\b(_s\d+)\b")
-_SQL_LITERAL = re.compile(r"'[^']*'")
 
 #: Cached marker for "witness generation ran and found nothing", so the
 #: expensive search is not repeated per duplicate submission.  A plain
@@ -60,41 +56,6 @@ _GRADE_TOTAL = REGISTRY.counter(
     "Submissions graded, by artifact-cache outcome.",
     ("cached",),
 )
-
-
-def _remap_text(text, inverse):
-    """Rewrite canonical ``_sN`` alias tokens back to submitter aliases.
-
-    Quoted SQL string literals are left untouched: a submission may
-    legitimately contain the text ``'_s0'`` as data, and hints quote the
-    student's own literals verbatim.
-    """
-    if text is None:
-        return None
-
-    def rename(segment):
-        return _CANON_TOKEN.sub(
-            lambda m: inverse.get(m.group(1), m.group(1)), segment
-        )
-
-    parts = []
-    last = 0
-    for literal in _SQL_LITERAL.finditer(text):
-        parts.append(rename(text[last:literal.start()]))
-        parts.append(literal.group(0))
-        last = literal.end()
-    parts.append(rename(text[last:]))
-    return "".join(parts)
-
-
-def _remap_hint(hint, inverse):
-    return Hint(
-        stage=hint.stage,
-        kind=hint.kind,
-        message=_remap_text(hint.message, inverse),
-        site=_remap_text(hint.site, inverse),
-        fix=_remap_text(hint.fix, inverse),
-    )
 
 
 @dataclass(frozen=True)
@@ -147,23 +108,11 @@ class GradeResult:
 
     def to_dict(self, show_fixes=False):
         """JSON-safe rendering (used by the HTTP API and ``--json``)."""
-        stages = []
-        for stage, passed, hints in self.stage_hints:
-            stages.append(
-                {
-                    "stage": stage,
-                    "passed": passed,
-                    "hints": [
-                        {
-                            "kind": h.kind,
-                            "message": h.message,
-                            "site": h.site,
-                            **({"fix": h.fix} if show_fixes else {}),
-                        }
-                        for h in hints
-                    ],
-                }
-            )
+        stages = [
+            {"stage": stage, "passed": passed,
+             "hints": [hint.to_dict(show_fixes) for hint in hints]}
+            for stage, passed, hints in self.stage_hints
+        ]
         payload = {
             "all_passed": self.all_passed,
             "stages": stages,
@@ -209,7 +158,7 @@ def format_grade_lines(result, show_fixes=False, witness_text=False):
         lines.append(f"[{stage}]")
         for hint in hints:
             lines.append(f"  - {hint.message}")
-            if show_fixes and hint.fix:
+            if show_fixes and hint.fix is not None:
                 lines.append(f"    fix: {hint.site}  ->  {hint.fix}")
         if stage == witness_stage:
             lines.append(
@@ -261,19 +210,11 @@ def _disambiguate(inverse, query):
     used = set(inverse.values())
     extended = dict(inverse)
     for entry in query.from_entries:
-        alias = entry.alias
-        if alias in extended:
-            continue
-        if alias in used:
-            counter = 2
-            fresh = f"{alias}_{counter}"
-            while fresh in used:
-                counter += 1
-                fresh = f"{alias}_{counter}"
-            extended[alias] = fresh
+        if entry.alias not in extended:
+            fresh = fresh_alias(entry.alias, used)
             used.add(fresh)
-        else:
-            used.add(alias)
+            if fresh != entry.alias:
+                extended[entry.alias] = fresh
     return extended
 
 
@@ -394,11 +335,16 @@ class AssignmentSession:
             cached_label = "true" if cached else "false"
             _GRADE_SECONDS.observe(elapsed, cached=cached_label)
             _GRADE_TOTAL.inc(cached=cached_label)
+        # The report and witness are in the canonical namespace.  Hints
+        # and pinned cells take the plain inverse map; only the final
+        # query takes _disambiguate's extended one.  So a hint can name a
+        # student alias that the final query gives to a repair-added
+        # table instead (FOUND 1 in ROADMAP.md).
         stage_hints = tuple(
             (
                 stage.stage,
                 stage.passed,
-                tuple(_remap_hint(h, inverse) for h in stage.hints),
+                tuple(h.rename_aliases(inverse) for h in stage.hints),
             )
             for stage in report.stages
         )
@@ -406,11 +352,7 @@ class AssignmentSession:
             _disambiguate(inverse, report.final_query)
         )
         if witness_obj is not None:
-            # Pinned-cell labels are in the canonical namespace; rewrite
-            # them with the same inverse mapping the hints go through.
-            witness_obj = replace(witness_obj, assignments=tuple(
-                _remap_text(text, inverse) for text in witness_obj.assignments
-            ))
+            witness_obj = witness_obj.rename_aliases(inverse)
         return GradeResult(
             submission_sql=sql,
             all_passed=report.all_passed,
@@ -459,7 +401,7 @@ class AssignmentSession:
     def save(self, path):
         """Spill the artifact cache to a JSON file; returns the count.
 
-        The file is ``{"version": 4, "catalog": [table, ...], "target":
+        The file is ``{"version": 5, "catalog": [table, ...], "target":
         ..., "max_sites": N, "entries": [[key, artifact], ...]}``: the
         catalog's tables (names, columns and types), the resolved target
         and the repair-site cap every artifact was graded against, then
@@ -502,7 +444,7 @@ class AssignmentSession:
         eviction policy apply as if they had just been computed.  Their
         canonical keys compare equal to freshly canonicalized
         submissions, which is what makes cross-restart reuse work.  A
-        file that is not a version-4 spill, or whose artifacts were
+        file that is not a version-5 spill, or whose artifacts were
         graded against another schema, target or ``max_sites`` (they
         would be wrong answers here), raises ``ValueError`` and restores
         nothing.

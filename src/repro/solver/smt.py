@@ -141,8 +141,9 @@ class Solver:
     def stats_snapshot(self):
         """A point-in-time copy of the counters plus the cache hit-rate.
 
-        Long-lived sessions and batch workers diff two snapshots to report
-        per-request deltas instead of process-lifetime totals.
+        Long-lived sessions and the batch grader diff two snapshots to
+        report per-request and per-form deltas instead of process-lifetime
+        totals.
         """
         snapshot = dict(self.stats)
         lookups = snapshot["cache_hits"] + snapshot["sat_calls"]

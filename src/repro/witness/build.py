@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from repro.core.table_mapping import unify_target
@@ -39,6 +39,7 @@ from repro.engine.database import Database
 from repro.engine.executor import execute
 from repro.errors import SolverLimitError
 from repro.logic.formulas import conj
+from repro.logic.terms import Const
 from repro.obs import JOURNAL, TRACER
 from repro.solver import Solver
 from repro.witness.divergence import divergence_formula, emits_single_row
@@ -55,8 +56,9 @@ class Witness:
 
     ``tables`` holds only the non-empty tables as ``(name, column_names,
     rows)`` with each row a value tuple; ``assignments`` lists the
-    model-pinned ``alias.column = value`` cells (canonical alias
-    namespace; the service remaps them to the submitter's aliases).
+    model-pinned cells as ``(alias, column, value)`` triples, in the
+    alias namespace of the queries the witness was generated for
+    (:meth:`rename_aliases` moves them to another).
     """
 
     tables: tuple  # ((table, (col, ...), ((value, ...), ...)), ...)
@@ -74,6 +76,14 @@ class Witness:
     @property
     def total_rows(self):
         return sum(len(rows) for _, _, rows in self.tables)
+
+    def rename_aliases(self, mapping):
+        """This witness with its pinned cells' aliases renamed per
+        ``mapping`` (old alias -> new alias)."""
+        return replace(self, assignments=tuple(
+            (mapping.get(alias, alias), column, value)
+            for alias, column, value in self.assignments
+        ))
 
 
 def _json_value(value):
@@ -99,7 +109,10 @@ def witness_to_dict(witness):
         "target_result": [[_json_value(v) for v in row] for row in witness.target_result],
         "stage": witness.stage,
         "source": witness.source,
-        "assignments": list(witness.assignments),
+        "assignments": [
+            f"{alias}.{column} = {Const.of(value)}"
+            for alias, column, value in witness.assignments
+        ],
         "elapsed": witness.elapsed,
     }
 

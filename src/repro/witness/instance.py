@@ -80,8 +80,7 @@ def build_instance(catalog, queries, model, seed=0):
     instance faithful to it (e.g. ``COUNT(DISTINCT x)`` stays 1 instead
     of picking up a second random row).  Returns ``(database,
     assignments)`` where ``assignments`` lists the pinned cells as
-    readable ``alias.column = value`` strings (canonical namespace -- the
-    service layer remaps them into the submitter's aliases).
+    ``(alias, column, value)`` triples.
     """
     aliases = {}
     for query in queries:
@@ -100,7 +99,7 @@ def build_instance(catalog, queries, model, seed=0):
             if model is not None:
                 value = model.value(Var(f"{alias}.{name}", column.type))
             if value is not None:
-                assignments.append(f"{alias}.{name} = {Const.of(value)}")
+                assignments.append((alias, name, value))
                 pinned[name] = value
         rows = tables.setdefault(table.name.lower(), [])
         for row in rows:

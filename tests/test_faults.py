@@ -624,6 +624,8 @@ class TestBatchDeadline:
         assert batch.errors == 0 and batch.unique == 1
         assert session.pipeline_runs == runs + 1
         assert all(r.degraded and r.witness is None for r in batch.results)
+        # As in AssignmentSession.grade, no degraded result is a cache hit.
+        assert not any(r.cached for r in batch.results)
         canonical, _ = session.prepare(WRONG)
         assert canonical not in session.cache
         # A later grade with no fault and no budget is a full one.

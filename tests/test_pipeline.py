@@ -39,7 +39,7 @@ class TestPaperExample1(object):
         assert any("frequents" in h.message.lower() for h in by_stage["FROM"].hints)
         # WHERE: the price comparison is the repair site (paper's second hint).
         assert not by_stage["WHERE"].passed
-        assert any("price" in (h.site or "") for h in by_stage["WHERE"].hints)
+        assert any("price" in str(h.site) for h in by_stage["WHERE"].hints)
         # No spurious hints in later stages (paper: "knows not to suggest
         # spurious hints such as adding Frequents.drinker to GROUP BY").
         assert by_stage["GROUP BY"].passed

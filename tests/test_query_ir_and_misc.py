@@ -83,9 +83,28 @@ class TestHintObjects:
     def test_hint_str_includes_stage(self):
         from repro.core.hints import Hint
 
-        hint = Hint("WHERE", "repair-site", "fix it", site="a > b")
-        assert str(hint).startswith("[WHERE]")
-        assert hint.public_message() == "fix it"
+        site = Comparison(">", intvar("a"), intvar("b"))
+        hint = Hint("WHERE", "repair-site", site=site)
+        assert str(hint) == f"[WHERE] {hint.message}"
+        assert hint.message.startswith(
+            "In WHERE, there is a problem with `a > b`."
+        )
+
+    def test_rename_aliases_renames_site_and_fix_not_tables(self):
+        from repro.core.from_stage import FromDelta
+        from repro.core.hints import Hint, from_stage_hints
+
+        hint = Hint(
+            "WHERE",
+            "repair-site",
+            site=Comparison(">", intvar("_s0.x"), const(5)),
+            fix=Comparison(">", intvar("_s0.x"), const(7)),
+        )
+        renamed = hint.rename_aliases({"_s0": "t"})
+        assert renamed.message == hint.message.replace("_s0.x", "t.x")
+        assert renamed.to_dict(show_fixes=True)["fix"] == "t.x > 7"
+        [table_hint] = from_stage_hints(FromDelta(missing={"_s0": 1}))
+        assert table_hint.rename_aliases({"_s0": "t"}) == table_hint
 
     def test_from_stage_hint_counts(self):
         from repro.core.from_stage import FromDelta

@@ -197,6 +197,15 @@ class TestBatchGrading:
         assert batch.cache_hit_rate > 0.5
         assert batch.stats()["solver"]["sat_calls"] > 0
 
+    def test_only_the_first_copy_of_a_form_graded_here_is_uncached(
+        self, dblp_catalog, question
+    ):
+        batch = grade_batch(
+            dblp_catalog, question.correct_sql, [question.wrong_sql] * 6
+        )
+        assert batch.unique == 1
+        assert [r.cached for r in batch.results] == [False] + [True] * 5
+
     def test_bad_submissions_become_grade_errors(self, dblp_catalog, question):
         pool = [question.wrong_sql, "SELEKT nope", question.wrong_sql]
         batch = grade_batch(dblp_catalog, question.correct_sql, pool)
@@ -915,10 +924,33 @@ class TestCacheDiskSpill:
         assert second.text(show_fixes=True) == first.text(show_fixes=True)
         assert second.witness == first.witness
 
+    def test_cli_with_spiller_writes_the_spill_once_at_shutdown(
+        self, serve_argv, monkeypatch
+    ):
+        import repro.service.server as server_module
+        from repro.cli import main
+
+        saves = []
+        save = AssignmentSession.save
+
+        def counted_save(self, path):
+            saves.append(path)
+            return save(self, path)
+
+        def serve_one(host, port, service, spiller=None, **settings):
+            service.session("default").grade(WRONG)
+            spiller.stop()  # what serve() does on the way out
+            return 0
+
+        monkeypatch.setattr(AssignmentSession, "save", counted_save)
+        monkeypatch.setattr(server_module, "serve", serve_one)
+        assert main(serve_argv + ["--cache-spill-interval", "3600"]) == 0
+        assert len(saves) == 1
+
     #: Spill files ``load`` must refuse.  A ``"catalog"`` or ``"target"``
     #: key stands for the encoded catalog or target of the session that
     #: loads it, so only the rest is malformed.
-    HEADER = {"version": 4, "catalog": None, "target": None, "max_sites": 2}
+    HEADER = {"version": 5, "catalog": None, "target": None, "max_sites": 2}
     MALFORMED = {
         "top-level list": [],
         "zero denominator": {
@@ -930,7 +962,7 @@ class TestCacheDiskSpill:
             "entries": [["k", {"t": "Mystery", "x": 1}]],
         },
         "no target": {
-            "version": 4, "catalog": None, "max_sites": 2, "entries": [],
+            "version": 5, "catalog": None, "max_sites": 2, "entries": [],
         },
         "version 1": {
             "version": 1,
@@ -942,6 +974,7 @@ class TestCacheDiskSpill:
         "version 3": {
             "version": 3, "target": None, "max_sites": 2, "entries": [],
         },
+        "version 4": {**HEADER, "version": 4, "entries": []},
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -960,7 +993,7 @@ class TestCacheDiskSpill:
                 spill[key] = to_obj(value)
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(spill))
-        with pytest.raises(ValueError, match="version-4 artifact spill"):
+        with pytest.raises(ValueError, match="version-5 artifact spill"):
             session.load(str(path))
         assert len(session.cache) == 0  # nothing restored from a rejected file
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from repro.catalog import Catalog
+from repro.core.pipeline import grade
 from repro.engine.database import Database
 from repro.engine.datagen import DataGenerator
 from repro.engine.executor import bag_equal, execute
 from repro.service import AssignmentSession, grade_batch
 from repro.service.cache import canonicalize
+from repro.service.session import format_report
 from repro.solver import Solver
 from repro.sqlparser.rewrite import parse_query_extended
 from repro.witness import (
@@ -292,8 +294,9 @@ class TestAliasRoundTrips:
             witness=True,
         )
         assert result.witness is not None
-        assert any(a.startswith("mytab.price") for a in result.witness.assignments)
-        assert not any("_s0" in a for a in result.witness.assignments)
+        cells = witness_to_dict(result.witness)["assignments"]
+        assert any(a.startswith("mytab.price") for a in cells)
+        assert not any("_s0" in a for a in cells)
 
     def test_witness_remap_handles_canonical_style_submitter_alias(
         self, beers_catalog
@@ -305,7 +308,29 @@ class TestAliasRoundTrips:
             "SELECT _s3.beer FROM Serves _s3 WHERE _s3.price >= 2",
             witness=True,
         )
-        assert any(a.startswith("_s3.price") for a in result.witness.assignments)
+        cells = witness_to_dict(result.witness)["assignments"]
+        assert any(a.startswith("_s3.price") for a in cells)
+
+    def test_column_named_like_a_canonical_alias(self):
+        # The session renames the hint and witness data, not their text:
+        # a column called ``_s0`` is not the canonical alias ``_s0``.
+        catalog = Catalog.from_spec(
+            {"Items": [["name", "STRING"], ["_s0", "INT"]]}
+        )
+        target = "SELECT i.name FROM Items i WHERE i._s0 > 5"
+        sql = "SELECT it.name FROM Items it WHERE it._s0 > 7"
+        result = AssignmentSession(catalog, target).grade(sql, witness=True)
+        witness = generate_witness(
+            catalog, _parse(target, catalog), _parse(sql, catalog)
+        )
+        one_shot = format_report(
+            grade(catalog, target, sql), show_fixes=True, witness=witness
+        )
+        assert result.text(show_fixes=True) == one_shot
+        assert "`it._s0 > 7`" in one_shot
+        assert "fix: it._s0 > 7  ->  it._s0 > 5" in one_shot
+        assert witness_to_dict(result.witness)["assignments"] == ["it._s0 = 6"]
+        assert result.witness == witness
 
 
 class TestDatagenSeeding:
