@@ -32,7 +32,7 @@ from repro.core.pipeline import QrHint
 from repro.service import grade_batch
 from repro.service.session import format_report
 from repro.solver import Solver
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 from repro.workloads import dblp, userstudy
 
 OUT_PATH = pathlib.Path(
@@ -44,8 +44,8 @@ MIN_SPEEDUP = 5.0
 
 def one_shot(catalog, target_sql, submission_sql):
     """The per-request work of the one-shot CLI path."""
-    target = parse_query_extended(target_sql, catalog)
-    working = parse_query_extended(submission_sql, catalog)
+    target = parse_query(target_sql, catalog)
+    working = parse_query(submission_sql, catalog)
     report = QrHint(catalog, target, working, solver=Solver()).run()
     return format_report(report)
 

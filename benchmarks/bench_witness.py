@@ -30,7 +30,7 @@ from repro.engine.database import Database
 from repro.engine.executor import bag_equal, execute
 from repro.errors import ReproError
 from repro.service import AssignmentSession
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 from repro.workloads import dblp, userstudy
 
 OUT_PATH = pathlib.Path(
@@ -47,8 +47,8 @@ def _reverify(witness, catalog, target_sql, submission_sql):
         catalog,
         {name: [list(row) for row in rows] for name, _, rows in witness.tables},
     )
-    target = parse_query_extended(target_sql, catalog)
-    submission = parse_query_extended(submission_sql, catalog)
+    target = parse_query(target_sql, catalog)
+    submission = parse_query(submission_sql, catalog)
     return not bag_equal(execute(submission, database), execute(target, database))
 
 

@@ -15,7 +15,7 @@ import argparse
 
 from repro import QrHint, Solver, generate_witness
 from repro.engine import appear_equivalent
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 from repro.witness import format_witness_lines
 from repro.workloads import dblp
 
@@ -32,8 +32,8 @@ def tutor_session(question):
 
     witness = generate_witness(
         catalog,
-        parse_query_extended(question.correct_sql, catalog),
-        parse_query_extended(question.wrong_sql, catalog),
+        parse_query(question.correct_sql, catalog),
+        parse_query(question.wrong_sql, catalog),
         solver=Solver(),
     )
     if witness is not None:

@@ -39,7 +39,7 @@ from repro.core.pipeline import QrHint
 from repro.engine import appear_equivalent
 from repro.errors import ReproError
 from repro.solver import Solver
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -419,10 +419,10 @@ def cmd_hint(args):
     solver = Solver()
     trace_cm = TRACER.trace("hint") if args.trace else nullcontext()
     catalog = load_catalog(args.schema)
-    target = parse_query_extended(
+    target = parse_query(
         _read_sql(args, "target", "target_sql", "target"), catalog
     )
-    working = parse_query_extended(
+    working = parse_query(
         _read_sql(args, "working", "working_sql", "working"), catalog
     )
     deadline = None
@@ -491,10 +491,10 @@ def cmd_witness(args):
     from repro.witness import format_witness_lines, generate_witness, witness_to_dict
 
     catalog = load_catalog(args.schema)
-    target = parse_query_extended(
+    target = parse_query(
         _read_sql(args, "target", "target_sql", "target"), catalog
     )
-    working = parse_query_extended(
+    working = parse_query(
         _read_sql(args, "working", "working_sql", "working"), catalog
     )
     witness = generate_witness(

@@ -18,7 +18,7 @@ from repro.corpus.mutations import mutate_query, stages_of
 from repro.corpus.schemas import bundled_sources
 from repro.errors import ReproError
 from repro.service.cache import canonical_key
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 
 #: Probability of a 2-error entry (when ``max_errors`` allows it).
 _TWO_ERROR_RATE = 0.4
@@ -87,7 +87,7 @@ class CorpusGenerator:
         dedup bookkeeping lives in :meth:`generate`.
         """
         try:
-            target = parse_query_extended(target_sql, source.catalog())
+            target = parse_query(target_sql, source.catalog())
         except ReproError:
             return None
         entry, _ = self._entry(source, qid, target, target_sql, index)
@@ -136,7 +136,7 @@ class CorpusGenerator:
             catalog = source.catalog()
             for qid, target_sql in source.targets:
                 try:
-                    target = parse_query_extended(target_sql, catalog)
+                    target = parse_query(target_sql, catalog)
                 except ReproError:
                     continue
                 target_key = canonical_key(target)

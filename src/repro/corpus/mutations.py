@@ -26,7 +26,7 @@ from repro.logic.paths import all_paths, replace_at
 from repro.logic.terms import AggCall, Var
 from repro.query import FromEntry, ResolvedQuery
 from repro.service.cache import canonical_key
-from repro.sqlparser.rewrite import parse_query_extended
+from repro.sqlparser import parse_query
 from repro.workloads.inject import inject_errors
 
 #: Stages a mutation can target, in pipeline order.
@@ -510,7 +510,7 @@ def mutate_query(query, catalog, num_errors=1, seed=0, rng=None, stages=None,
             continue
         mutated, record = result
         try:
-            parse_query_extended(mutated.to_sql(), catalog)
+            parse_query(mutated.to_sql(), catalog)
         except (ReproError, ValueError):
             continue
         current = mutated

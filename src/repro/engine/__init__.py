@@ -2,7 +2,11 @@
 
 from repro.engine.database import Database
 from repro.engine.datagen import DataGenerator
-from repro.engine.diff import appear_equivalent, differential_check
+from repro.engine.diff import (
+    appear_equivalent,
+    differential_check,
+    results_differ,
+)
 from repro.engine.executor import (
     bag_equal,
     cross_product,
@@ -23,4 +27,5 @@ __all__ = [
     "filtered_rows",
     "grouped_rows",
     "having_groups",
+    "results_differ",
 ]

@@ -10,18 +10,33 @@ from __future__ import annotations
 
 from repro.engine.datagen import DataGenerator
 from repro.engine.executor import bag_equal, execute
+from repro.logic.evaluate import EvaluationError
+
+
+def results_differ(query_a, query_b, database):
+    """True iff both queries run on ``database`` and their result bags differ.
+
+    An instance on which either query raises (a division by zero, say)
+    shows no two results to compare, so it never tells the queries apart.
+    """
+    try:
+        return not bag_equal(
+            execute(query_a, database), execute(query_b, database)
+        )
+    except EvaluationError:
+        return False
 
 
 def differential_check(query_a, query_b, catalog, trials=40, seed=0, max_rows=4):
     """Run both queries over random instances; return a counterexample or None.
 
     Returns ``None`` when no differentiating instance was found (evidence of
-    equivalence), otherwise the first :class:`Database` on which the result
-    bags differ.
+    equivalence), otherwise the first :class:`Database` on which
+    :func:`results_differ`.
     """
     generator = DataGenerator(catalog, seed=seed, max_rows=max_rows)
     for database in generator.instances(trials):
-        if not bag_equal(execute(query_a, database), execute(query_b, database)):
+        if results_differ(query_a, query_b, database):
             return database
     return None
 

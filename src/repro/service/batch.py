@@ -181,7 +181,9 @@ def grade_batch(
     :func:`_grade_form`, in ``session``; pass an existing session to
     reuse its cache across batches.  A result is ``cached`` unless it is
     the first submission of a form graded in this batch or a submission
-    of a degraded form.
+    of a degraded form, and each submission's ``repro_grades_total`` and
+    ``repro_grade_seconds`` labels and ``session.grade`` span say the
+    same (:meth:`AssignmentSession.serve`).
 
     ``trace=True`` puts one span tree per graded unique form on
     ``BatchResult.traces``.
@@ -264,12 +266,11 @@ def grade_batch(
         if outcome is not None and outcome.error is not None:
             results.append(GradeError(sql, *outcome.error))
             continue
-        result = session.grade(sql, witness=witness, _prepared=entry)
-        if outcome is not None and (
+        paid = outcome is not None and (
             canonical in unserved or outcome.report.degraded
-        ):
-            unserved.discard(canonical)
-            result = replace(result, cached=False)
+        )
+        unserved.discard(canonical)
+        result = session.serve(sql, entry, cached=not paid, witness=witness)
         if effort:
             result = replace(
                 result,

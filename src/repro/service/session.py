@@ -33,7 +33,8 @@ from repro.obs.effort import effort_delta, effort_snapshot
 from repro.service.cache import ArtifactCache, canonicalize
 from repro.service.serialize import VERSION, from_obj, to_obj
 from repro.solver import Solver
-from repro.sqlparser.rewrite import parse_query_extended
+# A second name for parse_query: perfbench's traced run wraps this binding.
+from repro.sqlparser import parse_query as parse_query_extended
 from repro.witness import (
     format_witness_lines,
     generate_witness,
@@ -274,19 +275,10 @@ class AssignmentSession:
         inverse = {canon: orig for orig, canon in mapping.items()}
         return canonical, inverse
 
-    def grade(
-        self,
-        submission,
-        witness=False,
-        effort=False,
-        deadline=None,
-        _prepared=None,
-    ):
+    def grade(self, submission, witness=False, effort=False, deadline=None):
         """Grade one submission; returns a :class:`GradeResult`.
 
         Parse/resolution errors propagate as :class:`repro.errors.ReproError`.
-        ``_prepared`` lets the batch grader pass the ``prepare()`` output it
-        already computed for deduplication, skipping the second parse.
 
         ``deadline`` (a :class:`repro.service.deadline.Deadline`) bounds the
         pipeline run: on expiry the result is a *degraded* partial grade
@@ -307,34 +299,62 @@ class AssignmentSession:
         solver work, so its delta is all zeros).
         """
         start = time.perf_counter()
-        sql = submission if isinstance(submission, str) else submission.to_sql()
         with TRACER.span("session.grade") as span, self.lock:
             effort_before = effort_snapshot(self.solver) if effort else None
-            canonical, inverse = _prepared or self.prepare(submission)
-            report = self.cache.get(canonical)
-            cached = report is not None
-            if not cached:
-                report = self.grade_canonical(canonical, deadline=deadline)
-                if not report.degraded:
-                    # A degraded report is an artifact of *this* request's
-                    # budget; caching it would serve the partial answer to
-                    # well-budgeted duplicates forever.
-                    self.cache.put(canonical, report)
-            witness_obj = None
-            if witness and not report.all_passed and not report.degraded:
-                witness_obj = self.witness_canonical(canonical)
-            effort_spent = (
-                effort_delta(effort_before, effort_snapshot(self.solver))
-                if effort
-                else None
+            return self._serve(
+                span, start, submission, self.prepare(submission), witness,
+                effort_before=effort_before, deadline=deadline,
             )
-            self.submissions += 1
-            elapsed = time.perf_counter() - start
-            self.elapsed_total += elapsed
-            span.set(cached=cached, all_passed=report.all_passed)
-            cached_label = "true" if cached else "false"
-            _GRADE_SECONDS.observe(elapsed, cached=cached_label)
-            _GRADE_TOTAL.inc(cached=cached_label)
+
+    def serve(self, sql, prepared, cached, witness=False):
+        """The result for ``sql`` from the report cached for its form.
+
+        The batch grader's half of :meth:`grade`: the batch grades each
+        unique form itself, so ``prepared`` is :meth:`prepare`'s output
+        for ``sql`` and ``cached`` is the batch's verdict on whether this
+        submission is a cache hit (False when it paid for its form's
+        pipeline run).  The result's flag, the ``repro_grades_total`` and
+        ``repro_grade_seconds`` labels and the ``session.grade`` span all
+        report that verdict.  A form the cache no longer holds (a
+        caller's session may evict one it held before the batch) is
+        graded again, and its result is not cached either.
+        """
+        start = time.perf_counter()
+        with TRACER.span("session.grade") as span, self.lock:
+            return self._serve(
+                span, start, sql, prepared, witness, cached=cached
+            )
+
+    def _serve(self, span, start, submission, prepared, witness, *,
+               cached=True, effort_before=None, deadline=None):
+        """One submission's result from the cache or, on a miss, from a
+        pipeline run, renamed into the submitter's namespace.  A miss is
+        never ``cached``; a hit is unless ``cached`` says otherwise."""
+        canonical, inverse = prepared
+        report = self.cache.get(canonical)
+        if report is None:
+            cached = False
+            report = self.grade_canonical(canonical, deadline=deadline)
+            if not report.degraded:
+                # A degraded report is an artifact of *this* request's
+                # budget; caching it would serve the partial answer to
+                # well-budgeted duplicates forever.
+                self.cache.put(canonical, report)
+        witness_obj = None
+        if witness and not report.all_passed and not report.degraded:
+            witness_obj = self.witness_canonical(canonical)
+        effort_spent = (
+            effort_delta(effort_before, effort_snapshot(self.solver))
+            if effort_before is not None
+            else None
+        )
+        self.submissions += 1
+        elapsed = time.perf_counter() - start
+        self.elapsed_total += elapsed
+        span.set(cached=cached, all_passed=report.all_passed)
+        cached_label = "true" if cached else "false"
+        _GRADE_SECONDS.observe(elapsed, cached=cached_label)
+        _GRADE_TOTAL.inc(cached=cached_label)
         # The report and witness are in the canonical namespace.  Hints
         # and pinned cells take the plain inverse map; only the final
         # query takes _disambiguate's extended one.  So a hint can name a
@@ -354,7 +374,10 @@ class AssignmentSession:
         if witness_obj is not None:
             witness_obj = witness_obj.rename_aliases(inverse)
         return GradeResult(
-            submission_sql=sql,
+            submission_sql=(
+                submission if isinstance(submission, str)
+                else submission.to_sql()
+            ),
             all_passed=report.all_passed,
             stage_hints=stage_hints,
             final_sql=final_query.to_sql(),

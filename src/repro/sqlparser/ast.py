@@ -117,13 +117,25 @@ class TableRef:
         return self.table
 
 
+@dataclass(frozen=True)
+class SubquerySource:
+    """A parenthesized SELECT used as a FROM source: ``(SELECT ...) alias``."""
+
+    statement: SelectStatement
+    alias: str
+
+    def __str__(self):
+        return f"({self.statement}) {self.alias}"
+
+
 @dataclass
 class SelectStatement:
-    """A single-block SELECT statement (the supported fragment)."""
+    """A SELECT block.  Its FROM may hold :class:`SubquerySource` s until
+    :func:`~repro.sqlparser.parse` flattens it into a single block."""
 
     select_items: list[SelectItem] = field(default_factory=list)
     distinct: bool = False
-    from_tables: list[TableRef] = field(default_factory=list)
+    from_tables: list[TableRef | SubquerySource] = field(default_factory=list)
     where: SqlExpr | None = None
     group_by: list[SqlExpr] = field(default_factory=list)
     having: SqlExpr | None = None

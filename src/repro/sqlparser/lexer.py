@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -26,7 +27,24 @@ KEYWORDS = {
     "DESC",
 }
 
-OPERATORS = ["<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "(", ")", ",", "."]
+#: One alternative per token class, tried in order at each position.
+#: Whitespace, ``--`` comments and ``;`` match no named group and are
+#: skipped.  A string's closing quote is the first one not followed by
+#: another (``''`` is an escaped quote), so ``'abc''`` is unterminated.
+#: Numbers are decimal digits (``\d``) with at most one inner dot; a
+#: word starts with any word character but a decimal digit.  Whatever
+#: else is left is one ``error`` character.
+_SCANNER = re.compile(
+    r"""
+      \s+ | --[^\n]* | ;
+    | (?P<string> '(?:[^']|'')*'(?!') )
+    | (?P<number> \d+(?:\.\d+)? | \.\d+ )
+    | (?P<ident> [^\W\d]\w* )
+    | (?P<op> <> | != | <= | >= | [=<>+\-*/(),.] )
+    | (?P<error> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -45,70 +63,24 @@ class Token:
 def tokenize(text):
     """Tokenize SQL text into a list of :class:`Token` (ending with EOF)."""
     tokens = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _SCANNER.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch == "-" and text[i : i + 2] == "--":  # line comment
-            newline = text.find("\n", i)
-            i = length if newline < 0 else newline + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            chunks = []
-            while True:
-                if j >= length:
-                    raise ParseError("unterminated string literal", i)
-                if text[j] == "'":
-                    if text[j : j + 2] == "''":  # escaped quote
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(text[j])
-                j += 1
-            tokens.append(Token("string", "".join(chunks), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < length and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A dot not followed by a digit terminates the number
-                    if j + 1 >= length or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+        value = match.group()
+        position = match.start()
+        if kind == "string":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "ident":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, i))
-            else:
-                tokens.append(Token("ident", word, i))
-            i = j
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", "<>" if op == "!=" else op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            if ch == ";":
-                i += 1  # statement terminator: ignore
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("eof", "", length))
+                kind, value = "keyword", upper
+        elif kind == "op" and value == "!=":
+            value = "<>"
+        elif kind == "error":
+            if value == "'":
+                raise ParseError("unterminated string literal", position)
+            raise ParseError(f"unexpected character {value!r}", position)
+        tokens.append(Token(kind, value, position))
+    tokens.append(Token("eof", "", len(text)))
     return tokens

@@ -1,14 +1,18 @@
 """Recursive-descent parser for single-block SPJ/SPJA SQL.
 
-Grammar (informal), matching the fragment of the paper (Section 3):
+Grammar (informal), matching the fragment of the paper (Section 3) plus
+the WITH clauses and FROM subqueries of its footnote 2, which
+:func:`parse` flattens into one block (:mod:`repro.sqlparser.rewrite`):
 
-    select_stmt := SELECT [DISTINCT] select_item (, select_item)*
-                   FROM table_ref (, table_ref)*
+    statement   := [WITH cte (, cte)*] select
+    cte         := name AS '(' select ')'
+    select      := SELECT [DISTINCT] select_item (, select_item)*
+                   FROM source (, source)*
                    [WHERE condition]
                    [GROUP BY expr (, expr)*]
                    [HAVING condition]
-    condition   := or_expr
-    or_expr     := and_expr (OR and_expr)*
+    source      := name [[AS] alias] | '(' select ')' [AS] alias
+    condition   := and_expr (OR and_expr)*
     and_expr    := not_expr (AND not_expr)*
     not_expr    := NOT not_expr | predicate
     predicate   := expr (cmp_op expr | [NOT] LIKE expr) | TRUE | FALSE
@@ -17,6 +21,9 @@ Grammar (informal), matching the fragment of the paper (Section 3):
     term        := factor ((*|/) factor)*
     factor      := '-' factor | primary
     primary     := number | string | column_ref | agg_call | '(' expr ')'
+
+WITH is not a reserved word: it is an identifier spelled ``WITH`` in
+any case.
 """
 
 from __future__ import annotations
@@ -31,10 +38,12 @@ from repro.sqlparser.ast import (
     SelectItem,
     SelectStatement,
     StringLit,
+    SubquerySource,
     TableRef,
     UnaryExpr,
 )
 from repro.sqlparser.lexer import tokenize
+from repro.sqlparser.rewrite import flatten
 
 AGG_NAMES = {"SUM", "AVG", "COUNT", "MIN", "MAX"}
 COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
@@ -78,9 +87,23 @@ class Parser:
 
     # -- statement ------------------------------------------------------
 
-    def parse_select(self):
-        """One SELECT statement, with nothing after it."""
-        stmt = self.parse_select_only()
+    def parse_statement(self):
+        """The whole input: ``(select, {cte name: select})``."""
+        ctes = {}
+        token = self.current
+        if token.kind == "ident" and token.value.upper() == "WITH":
+            self.advance()
+            while True:
+                name_token = self.advance()
+                if name_token.kind != "ident":
+                    raise ParseError("expected CTE name", name_token.position)
+                self.expect_keyword("AS")
+                self.expect_op("(")
+                ctes[name_token.value.lower()] = self._select()
+                self.expect_op(")")
+                if not self.accept_op(","):
+                    break
+        stmt = self._select()
         if self.accept_keyword("ORDER"):
             raise UnsupportedSQLError("ORDER BY is outside the supported fragment")
         if self.current.kind != "eof":
@@ -88,9 +111,9 @@ class Parser:
                 f"unexpected trailing input {self.current.value!r}",
                 self.current.position,
             )
-        return stmt
+        return stmt, ctes
 
-    def parse_select_only(self):
+    def _select(self):
         """One SELECT block, leaving whatever follows it unread."""
         self.expect_keyword("SELECT")
         stmt = SelectStatement()
@@ -99,9 +122,9 @@ class Parser:
         while self.accept_op(","):
             stmt.select_items.append(self._select_item())
         self.expect_keyword("FROM")
-        stmt.from_tables.append(self._table_source())
+        stmt.from_tables.append(self._source())
         while self.accept_op(","):
-            stmt.from_tables.append(self._table_source())
+            stmt.from_tables.append(self._source())
         if self.accept_keyword("WHERE"):
             stmt.where = self._condition()
         if self.accept_keyword("GROUP"):
@@ -116,42 +139,38 @@ class Parser:
     def _select_item(self):
         if self.current.is_op("*"):
             raise UnsupportedSQLError("SELECT * is not supported; list columns")
-        expr = self._expr()
-        alias = None
+        return SelectItem(self._expr(), self._alias())
+
+    def _source(self):
+        if self.accept_op("("):
+            subquery = self._select()
+            self.expect_op(")")
+            self.accept_keyword("AS")
+            alias_token = self.advance()
+            if alias_token.kind != "ident":
+                raise ParseError(
+                    "subquery in FROM requires an alias", alias_token.position
+                )
+            return SubquerySource(subquery, alias_token.value)
+        token = self.advance()
+        if token.kind != "ident":
+            raise ParseError("expected table name", token.position)
+        return TableRef(token.value, self._alias())
+
+    def _alias(self):
+        """``AS alias``, a bare ``alias`` or nothing (None)."""
         if self.accept_keyword("AS"):
             token = self.advance()
             if token.kind != "ident":
                 raise ParseError("expected alias after AS", token.position)
-            alias = token.value
-        elif self.current.kind == "ident":
-            alias = self.advance().value
-        return SelectItem(expr, alias)
-
-    def _table_source(self):
-        """One FROM entry; :class:`~repro.sqlparser.rewrite.ExtendedParser`
-        also accepts a parenthesized subquery."""
-        return self._table_ref()
-
-    def _table_ref(self):
-        token = self.advance()
-        if token.kind != "ident":
-            raise ParseError("expected table name", token.position)
-        alias = None
-        if self.accept_keyword("AS"):
-            alias_token = self.advance()
-            if alias_token.kind != "ident":
-                raise ParseError("expected alias after AS", alias_token.position)
-            alias = alias_token.value
-        elif self.current.kind == "ident":
-            alias = self.advance().value
-        return TableRef(token.value, alias)
+            return token.value
+        if self.current.kind == "ident":
+            return self.advance().value
+        return None
 
     # -- conditions -----------------------------------------------------
 
     def _condition(self):
-        return self._or_expr()
-
-    def _or_expr(self):
         left = self._and_expr()
         while self.accept_keyword("OR"):
             right = self._and_expr()
@@ -215,9 +234,9 @@ class Parser:
             if self.accept_keyword("LIKE"):
                 return BinaryExpr("NOT LIKE", left, self._expr())
             self.pos = save
-        for op in ("<=", ">=", "<>", "=", "<", ">"):
-            if self.accept_op(op):
-                return BinaryExpr(op, left, self._expr())
+        token = self.accept_op(*COMPARISON_OPS)
+        if token is not None:
+            return BinaryExpr(token.value, left, self._expr())
         raise ParseError("expected comparison operator", self.current.position)
 
     # -- arithmetic -----------------------------------------------------
@@ -285,5 +304,6 @@ class Parser:
 
 
 def parse(text):
-    """Parse SQL text into a :class:`SelectStatement`."""
-    return Parser(text).parse_select()
+    """Parse SQL text into one flat :class:`SelectStatement`, with every
+    WITH body and FROM subquery merged into the outer block."""
+    return flatten(*Parser(text).parse_statement())

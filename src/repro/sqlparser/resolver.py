@@ -17,7 +17,7 @@ from repro.logic.formulas import Comparison, TRUE, conj, disj, neg
 from repro.logic.terms import AggCall, Arith, Const, Neg, Var
 from repro.query import FromEntry, ResolvedQuery
 from repro.sqlparser import ast
-from repro.sqlparser.parser import parse
+from repro.sqlparser.parser import COMPARISON_OPS, parse
 
 
 class Resolver:
@@ -33,10 +33,7 @@ class Resolver:
         group_by = tuple(
             self._resolve_term(e, allow_agg=False) for e in self.statement.group_by
         )
-        grouped = self._grouped_context(group_by)
-        having = self._resolve_condition(
-            self.statement.having, allow_agg=True, grouped=grouped
-        )
+        having = self._resolve_condition(self.statement.having, allow_agg=True)
         select_terms = []
         select_aliases = []
         for item in self.statement.select_items:
@@ -52,7 +49,7 @@ class Resolver:
             select_aliases=tuple(select_aliases),
             distinct=self.statement.distinct,
         )
-        self._check_grouping_validity(query, grouped)
+        self._check_grouping_validity(query)
         return query
 
     # -- FROM -------------------------------------------------------------
@@ -135,7 +132,7 @@ class Resolver:
 
     # -- conditions ---------------------------------------------------------
 
-    def _resolve_condition(self, expr, allow_agg, grouped=None):
+    def _resolve_condition(self, expr, allow_agg):
         if expr is None:
             return TRUE
         return self._condition(expr, allow_agg)
@@ -149,15 +146,8 @@ class Resolver:
             return conj(left, right) if expr.op == "AND" else disj(left, right)
         if isinstance(expr, ast.UnaryExpr) and expr.op == "NOT":
             return neg(self._condition(expr.operand, allow_agg))
-        if isinstance(expr, ast.BinaryExpr) and expr.op in (
-            "=",
-            "<>",
-            "<",
-            "<=",
-            ">",
-            ">=",
-            "LIKE",
-            "NOT LIKE",
+        if isinstance(expr, ast.BinaryExpr) and (
+            expr.op in COMPARISON_OPS or expr.op in ("LIKE", "NOT LIKE")
         ):
             left = self._resolve_term(expr.left, allow_agg)
             right = self._resolve_term(expr.right, allow_agg)
@@ -178,10 +168,7 @@ class Resolver:
 
     # -- grouping validity ----------------------------------------------------
 
-    def _grouped_context(self, group_by):
-        return set(group_by)
-
-    def _check_grouping_validity(self, query, grouped):
+    def _check_grouping_validity(self, query):
         if not query.is_spja or (not query.group_by and not query.having.has_aggregate()
                                  and not any(t.has_aggregate() for t in query.select)):
             return

@@ -11,155 +11,110 @@ level, before resolution:
   avoid capture), its WHERE is conjoined, and references to the subquery's
   output columns are replaced by the defining expressions.
 
+:func:`repro.sqlparser.parse` flattens every statement it parses.
+
 Subqueries with grouping, aggregation, or DISTINCT raise
 :class:`UnsupportedSQLError`, matching the paper's scope.
 """
 
 from __future__ import annotations
 
-from repro.errors import ParseError, UnsupportedSQLError
+import itertools
+
+from repro.errors import UnsupportedSQLError
 from repro.sqlparser import ast
-from repro.sqlparser.parser import Parser
 
 
-class ExtendedParser(Parser):
-    """Parser accepting WITH clauses and parenthesized FROM subqueries."""
+def flatten(statement, ctes):
+    """``statement`` as one plain :class:`~repro.sqlparser.ast.SelectStatement`.
 
-    def parse_statement(self):
-        ctes = {}
-        if self.accept_keyword_word("WITH"):
-            while True:
-                name_token = self.advance()
-                if name_token.kind != "ident":
-                    raise ParseError("expected CTE name", name_token.position)
-                self.expect_keyword("AS")
-                self.expect_op("(")
-                ctes[name_token.value.lower()] = self.parse_select_only()
-                self.expect_op(")")
-                if not self.accept_op(","):
-                    break
-        return self.parse_select(), ctes
-
-    def accept_keyword_word(self, word):
-        """Accept an identifier-or-keyword matching ``word`` (WITH is not a
-        reserved keyword in the base lexer)."""
-        token = self.current
-        if token.kind == "ident" and token.value.upper() == word:
-            self.advance()
-            return True
-        return False
-
-    def _table_source(self):
-        if self.current.is_op("("):
-            self.advance()
-            subquery = self.parse_select_only()
-            self.expect_op(")")
-            self.accept_keyword("AS")
-            alias_token = self.advance()
-            if alias_token.kind != "ident":
-                raise ParseError(
-                    "subquery in FROM requires an alias", alias_token.position
-                )
-            return SubquerySource(subquery, alias_token.value)
-        return self._table_ref()
-
-
-class SubquerySource:
-    """A parenthesized SELECT used as a FROM source."""
-
-    def __init__(self, statement, alias):
-        self.statement = statement
-        self.alias = alias
+    ``ctes`` maps each lower-cased WITH name to its body; every body is
+    checked, used or not.
+    """
+    for name, cte in ctes.items():
+        if _has_aggregation(cte):
+            raise UnsupportedSQLError(
+                f"CTE {name!r} uses aggregation and cannot be flattened"
+            )
+    return _flatten(statement, ctes, itertools.count(1))
 
 
 def _has_aggregation(statement):
-    if statement.group_by or statement.having is not None or statement.distinct:
-        return True
+    """GROUP BY, HAVING, DISTINCT, or an aggregate call in SELECT or WHERE."""
+    calls = []
 
-    def walk(expr):
-        if isinstance(expr, ast.FuncCall):
-            return True
-        for attr in ("left", "right", "operand", "arg", "expr"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, ast.SqlExpr) and walk(child):
-                return True
-        return False
+    def visit(node):
+        if isinstance(node, ast.FuncCall):
+            calls.append(node)
+            return node
+        return None
 
-    for item in statement.select_items:
-        if walk(item.expr):
-            return True
-    if statement.where is not None and walk(statement.where):
-        return True
-    return False
+    for expr in (*(item.expr for item in statement.select_items),
+                 statement.where):
+        if expr is not None:
+            _transform(expr, visit)
+    return bool(
+        statement.group_by or statement.having is not None
+        or statement.distinct or calls
+    )
 
 
-class _Flattener:
-    def __init__(self):
-        self._counter = 0
-
-    def fresh_alias(self, base):
-        self._counter += 1
-        return f"{base}_q{self._counter}"
-
-    def flatten(self, statement, ctes):
-        """Return an equivalent plain :class:`SelectStatement`."""
-        out = ast.SelectStatement(
-            distinct=statement.distinct,
-            group_by=list(statement.group_by),
-            having=statement.having,
-        )
-        extra_where = []
-        substitutions = {}  # (qualifier, column) -> replacement expr
-        for source in statement.from_tables:
-            if isinstance(source, SubquerySource):
-                inner = source.statement
-            elif isinstance(source, ast.TableRef) and source.table.lower() in ctes:
-                inner = ctes[source.table.lower()]
-                source = SubquerySource(inner, source.effective_alias)
-            else:
-                out.from_tables.append(source)
-                continue
-            if _has_aggregation(inner):
+def _flatten(statement, ctes, counter):
+    """An equivalent plain :class:`SelectStatement`; ``counter`` numbers
+    the fresh ``<alias>_qN`` aliases of spliced-in tables."""
+    out = ast.SelectStatement(distinct=statement.distinct)
+    extra_where = []
+    substitutions = {}  # (qualifier, column) -> replacement expr
+    for source in statement.from_tables:
+        if isinstance(source, ast.SubquerySource):
+            inner = source.statement
+        elif isinstance(source, ast.TableRef) and source.table.lower() in ctes:
+            inner = ctes[source.table.lower()]
+            source = ast.SubquerySource(inner, source.effective_alias)
+        else:
+            out.from_tables.append(source)
+            continue
+        if _has_aggregation(inner):
+            raise UnsupportedSQLError(
+                "subqueries with aggregation/DISTINCT in FROM cannot be "
+                "flattened into a single block"
+            )
+        inner = _flatten(inner, ctes, counter)
+        rename = {}
+        for table_ref in inner.from_tables:
+            fresh = f"{source.alias}_q{next(counter)}"
+            rename[table_ref.effective_alias.lower()] = fresh
+            out.from_tables.append(ast.TableRef(table_ref.table, fresh))
+        if inner.where is not None:
+            extra_where.append(_rename_expr(inner.where, rename))
+        for item in inner.select_items:
+            column_name = item.alias or _implied_name(item.expr)
+            if column_name is None:
                 raise UnsupportedSQLError(
-                    "subqueries with aggregation/DISTINCT in FROM cannot be "
-                    "flattened into a single block"
+                    "subquery output expressions need aliases"
                 )
-            inner = self.flatten(inner, ctes)  # recursively flatten
-            rename = {}
-            for table_ref in inner.from_tables:
-                fresh = self.fresh_alias(source.alias)
-                rename[table_ref.effective_alias.lower()] = fresh
-                out.from_tables.append(ast.TableRef(table_ref.table, fresh))
-            if inner.where is not None:
-                extra_where.append(_rename_expr(inner.where, rename))
-            for item in inner.select_items:
-                column_name = item.alias or _implied_name(item.expr)
-                if column_name is None:
-                    raise UnsupportedSQLError(
-                        "subquery output expressions need aliases"
-                    )
-                substitutions[(source.alias.lower(), column_name.lower())] = (
-                    _rename_expr(item.expr, rename)
-                )
-        out.select_items = [
-            ast.SelectItem(_substitute_refs(i.expr, substitutions), i.alias)
-            for i in statement.select_items
-        ]
-        where_parts = []
-        if statement.where is not None:
-            where_parts.append(_substitute_refs(statement.where, substitutions))
-        where_parts.extend(extra_where)
-        if where_parts:
-            combined = where_parts[0]
-            for part in where_parts[1:]:
-                combined = ast.BinaryExpr("AND", combined, part)
-            out.where = combined
-        out.group_by = [
-            _substitute_refs(e, substitutions) for e in statement.group_by
-        ]
-        if statement.having is not None:
-            out.having = _substitute_refs(statement.having, substitutions)
-        return out
+            substitutions[(source.alias.lower(), column_name.lower())] = (
+                _rename_expr(item.expr, rename)
+            )
+    out.select_items = [
+        ast.SelectItem(_substitute_refs(i.expr, substitutions), i.alias)
+        for i in statement.select_items
+    ]
+    where_parts = []
+    if statement.where is not None:
+        where_parts.append(_substitute_refs(statement.where, substitutions))
+    where_parts.extend(extra_where)
+    if where_parts:
+        combined = where_parts[0]
+        for part in where_parts[1:]:
+            combined = ast.BinaryExpr("AND", combined, part)
+        out.where = combined
+    out.group_by = [
+        _substitute_refs(e, substitutions) for e in statement.group_by
+    ]
+    if statement.having is not None:
+        out.having = _substitute_refs(statement.having, substitutions)
+    return out
 
 
 def _implied_name(expr):
@@ -220,23 +175,12 @@ def _transform(expr, visit):
     return expr
 
 
-def parse_extended(text):
-    """Parse SQL with WITH/FROM-subquery support; returns a flat statement."""
-    parser = ExtendedParser(text)
-    statement, ctes = parser.parse_statement()
-    flattened_ctes = {}
-    flattener = _Flattener()
-    for name, cte in ctes.items():
-        if _has_aggregation(cte):
-            raise UnsupportedSQLError(
-                f"CTE {name!r} uses aggregation and cannot be flattened"
-            )
-        flattened_ctes[name] = cte
-    return flattener.flatten(statement, flattened_ctes)
+def __getattr__(name):
+    # ``parse_query_extended`` is a second name for ``parse_query``, for
+    # callers that import it from here (perfbench's among them).  It is
+    # looked up on first use because the parser imports this module.
+    if name == "parse_query_extended":
+        from repro.sqlparser.resolver import parse_query
 
-
-def parse_query_extended(text, catalog):
-    """Parse (with rewrites) and resolve against a catalog."""
-    from repro.sqlparser.resolver import resolve
-
-    return resolve(parse_extended(text), catalog)
+        return parse_query
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

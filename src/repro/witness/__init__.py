@@ -12,14 +12,15 @@ emitted, so each hint becomes an executable, checkable artifact.
   (aggregates collapsed to scalars) for the solver-model path.
 * :mod:`repro.witness.instance`  -- theory model -> concrete tuples, with
   seeded, constants-aware random fills for unconstrained columns.
-* :mod:`repro.witness.verify`    -- runs both queries through the engine
-  and attributes the divergence to the earliest differing stage artifact.
+* :mod:`repro.witness.verify`    -- attributes a divergence the engine
+  confirmed to the earliest differing stage artifact.
 * :mod:`repro.witness.shrink`    -- greedy tuple dropping under the
   divergence invariant (target: at most 3 rows per table).
 * :mod:`repro.witness.build`     -- the orchestrator and the frozen
   :class:`~repro.witness.build.Witness` artifact the service layer caches.
 """
 
+from repro.engine.diff import results_differ
 from repro.witness.build import (
     MAX_ROWS_PER_TABLE,
     Witness,
@@ -31,7 +32,7 @@ from repro.witness.build import (
 from repro.witness.divergence import divergence_formula, emits_single_row
 from repro.witness.instance import build_instance, guided_generator
 from repro.witness.shrink import shrink_instance
-from repro.witness.verify import first_divergent_stage, results_differ
+from repro.witness.verify import first_divergent_stage
 
 __all__ = [
     "MAX_ROWS_PER_TABLE",

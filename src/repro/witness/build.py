@@ -23,7 +23,9 @@ yields candidate instances in order of preference:
 One accept rule keeps the first candidate on which the executor sees the
 result bags differ and that greedily shrinks to at most
 ``max_rows_per_table`` rows per table, so everything the service returns
-is small enough to read.
+is small enough to read.  An instance on which either query raises (a
+division by zero) is never a witness, nor a step of the shrinking
+(:func:`repro.engine.diff.results_differ`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from fractions import Fraction
 
 from repro.core.table_mapping import unify_target
 from repro.engine.database import Database
+from repro.engine.diff import results_differ
 from repro.engine.executor import execute
 from repro.errors import SolverLimitError
 from repro.logic.formulas import conj
@@ -45,7 +48,7 @@ from repro.solver import Solver
 from repro.witness.divergence import divergence_formula, emits_single_row
 from repro.witness.instance import build_instance, guided_generator
 from repro.witness.shrink import shrink_instance
-from repro.witness.verify import first_divergent_stage, results_differ
+from repro.witness.verify import first_divergent_stage
 
 MAX_ROWS_PER_TABLE = 3
 

@@ -1,10 +1,11 @@
-"""Executor-based verification of witness instances.
+"""Stage attribution of verified witness instances.
 
-A witness is only emitted after the relational engine confirms it: the
-working and target queries are both *run* on the instance and their
-result bags must differ.  When the two queries share an alias namespace
-the verifier additionally attributes the divergence to the earliest
-pipeline artifact that differs, matching the stage ladder of the paper:
+A witness is only emitted after the relational engine confirms it
+(:func:`repro.engine.diff.results_differ`): the working and target
+queries both *run* on the instance, neither raises, and their result
+bags differ.  When the two queries share an alias namespace this module
+attributes the divergence to the earliest pipeline artifact that
+differs, matching the stage ladder of the paper:
 row membership for WHERE (``FW``), group partitioning for GROUP BY
 (``FWG``), surviving groups for HAVING (``FWGH``), and output tuples for
 SELECT.
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 from repro.engine.executor import (
     _row_key,
-    bag_equal,
-    execute,
     filtered_rows,
     grouped_rows,
     having_groups,
@@ -35,11 +34,6 @@ def _bag_key(envs):
 def _partition_key(groups):
     """Groups of environments as a comparable multiset of bags."""
     return sorted(tuple(_bag_key(envs)) for envs in groups)
-
-
-def results_differ(working, target, database):
-    """True iff the two queries' result bags differ on ``database``."""
-    return not bag_equal(execute(working, database), execute(target, database))
 
 
 def first_divergent_stage(working, target, database):

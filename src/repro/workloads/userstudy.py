@@ -160,9 +160,9 @@ def _format_variant(sql, rng):
 def _alias_variants(sql, prefixes=("w", "z")):
     """Alpha-equivalent rewrites: same query under renamed FROM aliases."""
     from repro.workloads import dblp
-    from repro.sqlparser.rewrite import parse_query_extended
+    from repro.sqlparser import parse_query
 
-    parsed = parse_query_extended(sql, dblp.catalog())
+    parsed = parse_query(sql, dblp.catalog())
     variants = []
     for prefix in prefixes:
         mapping = {

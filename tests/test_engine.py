@@ -16,6 +16,7 @@ from repro.engine import (
     execute,
     filtered_rows,
     grouped_rows,
+    results_differ,
 )
 from repro.engine import executor
 from repro.logic.evaluate import EvaluationError, eval_formula
@@ -273,6 +274,17 @@ class TestBagEqual:
 
 
 class TestDataGenAndDiff:
+    def test_instance_on_which_a_query_raises_is_no_difference(
+        self, beers_catalog, db
+    ):
+        divides = parse_query(
+            "SELECT beer FROM Serves WHERE price > 1/0", beers_catalog
+        )
+        other = parse_query("SELECT beer FROM Serves", beers_catalog)
+        assert not results_differ(divides, other, db)
+        assert not results_differ(other, divides, db)
+        assert differential_check(divides, other, beers_catalog) is None
+
     def test_generator_is_deterministic(self, beers_catalog):
         a = DataGenerator(beers_catalog, seed=7).random_instance()
         b = DataGenerator(beers_catalog, seed=7).random_instance()

@@ -633,6 +633,14 @@ class TestBatchDeadline:
         later = session.grade(WRONG)
         assert not later.degraded and not later.cached
 
+    def test_degraded_submissions_are_counted_uncached(self, beers_catalog):
+        FAULTS.activate("solver.slow", ms=30)
+        grades = REGISTRY.get("repro_grades_total")
+        before = [grades.value(cached=c) for c in ("false", "true")]
+        grade_batch(beers_catalog, TARGET, [WRONG] * 3, timeout_ms=10)
+        after = [grades.value(cached=c) for c in ("false", "true")]
+        assert [a - b for a, b in zip(after, before)] == [3, 0]
+
     @pytest.mark.parametrize("bad", [0, -1.0, math.nan, math.inf])
     def test_timeout_must_be_positive_and_finite(self, beers_catalog, bad):
         with pytest.raises(ValueError, match="timeout_ms"):

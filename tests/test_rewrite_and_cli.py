@@ -8,8 +8,8 @@ from repro.core.pipeline import QrHint, grade
 from repro.engine import appear_equivalent
 from repro.errors import ParseError, UnsupportedSQLError
 from repro.service import AssignmentSession
-from repro.sqlparser import parse_query
-from repro.sqlparser.rewrite import parse_extended, parse_query_extended
+from repro.sqlparser import parse, parse_query
+from repro.sqlparser.rewrite import parse_query_extended
 
 
 class TestFromSubqueryFlattening:
@@ -123,7 +123,7 @@ class TestWithClauses:
             )
 
     def test_cte_default_alias_is_cte_name(self, beers_catalog):
-        flattened = parse_extended(
+        flattened = parse(
             "WITH cheap AS (SELECT beer FROM Serves) "
             "SELECT cheap.beer FROM cheap"
         )

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.pipeline import grade
 from repro.errors import ParseError
+from repro.obs import REGISTRY, TRACER
 from repro.service import (
     ArtifactCache,
     AssignmentSession,
@@ -24,6 +25,8 @@ from repro.workloads import dblp, userstudy
 
 TARGET = "SELECT beer FROM Serves WHERE price > 2"
 WRONG = "SELECT beer FROM Serves WHERE price >= 2"
+#: ``²`` is a digit to ``str.isdigit`` but not a decimal one.
+SUPERSCRIPT = "SELECT beer FROM Serves WHERE price > 1²"
 
 
 class TestArtifactCache:
@@ -154,6 +157,11 @@ class TestAssignmentSession:
         with pytest.raises(ParseError):
             session.grade("SELEKT nope")
 
+    def test_non_decimal_digit_is_a_parse_error(self, beers_catalog):
+        session = AssignmentSession(beers_catalog, TARGET)
+        with pytest.raises(ParseError, match="unexpected trailing input '²'"):
+            session.grade(SUPERSCRIPT)
+
     def test_solver_stats_are_session_deltas(self, beers_catalog):
         shared_solver_session = AssignmentSession(beers_catalog, TARGET)
         shared_solver_session.grade(WRONG)
@@ -213,6 +221,49 @@ class TestBatchGrading:
         assert isinstance(batch.results[1], GradeError)
         assert batch.results[1].kind == "ParseError"
         assert batch.results[0].text() == batch.results[2].text()
+
+    def test_non_decimal_digit_fails_only_its_submission(self, beers_catalog):
+        batch = grade_batch(beers_catalog, TARGET, [WRONG, SUPERSCRIPT, TARGET])
+        assert batch.errors == 1
+        assert batch.results[1].kind == "ParseError"
+        assert not batch.results[0].all_passed and batch.results[2].all_passed
+
+    def test_grade_metrics_agree_with_result_flags(self, beers_catalog):
+        grades = REGISTRY.get("repro_grades_total")
+        seconds = REGISTRY.get("repro_grade_seconds")
+        labels = ("false", "true")
+        before = [(grades.value(cached=c), seconds.count(cached=c))
+                  for c in labels]
+        with TRACER.trace("batch") as handle:
+            batch = grade_batch(beers_catalog, TARGET, [WRONG] * 3)
+        after = [(grades.value(cached=c), seconds.count(cached=c))
+                 for c in labels]
+        assert [r.cached for r in batch.results] == [False, True, True]
+        assert [(a[0] - b[0], a[1] - b[1])
+                for a, b in zip(after, before)] == [(1, 1), (2, 2)]
+        assert [span["attrs"]["cached"] for span in handle.to_dict()["spans"]
+                if span["name"] == "session.grade"] == [False, True, True]
+
+    def test_form_evicted_before_it_is_served_is_graded_again(
+        self, beers_catalog
+    ):
+        # The caller's full cache evicts the oldest form it held while
+        # the batch puts the forms it grades.
+        session = AssignmentSession(beers_catalog, TARGET, cache_size=20)
+        held = [f"SELECT beer FROM Serves WHERE price > {i}" for i in range(20)]
+        for sql in held:
+            session.grade(sql)
+        fresh = [f"SELECT beer FROM Serves WHERE price < {i}" for i in range(5)]
+        runs = session.pipeline_runs
+        batch = grade_batch(
+            beers_catalog, TARGET, [held[0]] + fresh, session=session
+        )
+        assert batch.errors == 0 and batch.unique == 5
+        assert session.pipeline_runs == runs + 6
+        assert [r.cached for r in batch.results] == [False] * 6
+        assert batch.results[0].text() == format_report(
+            grade(beers_catalog, TARGET, held[0])
+        )
 
     def test_unrepairable_submission_does_not_abort_batch(self, beers_catalog):
         # max_sites=0 makes any needed repair unviable (RepairError); the
@@ -350,6 +401,14 @@ class TestHttpServer:
         status, body = client.post(
             "/grade",
             {"assignment_id": created["assignment_id"], "sql": "SELEKT"},
+        )
+        assert status == 400 and body["kind"] == "ParseError"
+
+    def test_non_decimal_digit_400(self, client):
+        _, created = self._create(client)
+        status, body = client.post(
+            "/grade",
+            {"assignment_id": created["assignment_id"], "sql": SUPERSCRIPT},
         )
         assert status == 400 and body["kind"] == "ParseError"
 

@@ -13,6 +13,41 @@ from repro.logic.formulas import And, Comparison, Not, Or, TRUE
 from repro.logic.terms import AggCall, Arith, Const, Var
 from repro.sqlparser import parse, parse_query
 from repro.sqlparser.lexer import tokenize
+from repro.sqlparser.rewrite import parse_query_extended
+
+#: Input -> every token as ``(kind, value, position)``, or the ParseError.
+LEXED = {
+    "escaped quote": ("'O''Brien'", [("string", "O'Brien", 0), ("eof", "", 10)]),
+    "unterminated": ("x = 'oops", "unterminated string literal (at position 4)"),
+    "unterminated after an escape": (
+        "'abc''", "unterminated string literal (at position 0)"
+    ),
+    "comment at the end": (
+        "SELECT x -- no newline",
+        [("keyword", "SELECT", 0), ("ident", "x", 7), ("eof", "", 22)],
+    ),
+    "!= is <>": (
+        "a!=b", [("ident", "a", 0), ("op", "<>", 1), ("ident", "b", 3),
+                 ("eof", "", 4)],
+    ),
+    "leading dot": (".5", [("number", ".5", 0), ("eof", "", 2)]),
+    "trailing dot": ("1.", [("number", "1", 0), ("op", ".", 1), ("eof", "", 2)]),
+    "two dots": (
+        "1.2.3", [("number", "1.2", 0), ("number", ".3", 3), ("eof", "", 5)]
+    ),
+    "separators": (
+        "SELECT\tx;\nFROM t;",
+        [("keyword", "SELECT", 0), ("ident", "x", 7), ("keyword", "FROM", 10),
+         ("ident", "t", 15), ("eof", "", 17)],
+    ),
+    "non-ASCII identifier": ("é", [("ident", "é", 0), ("eof", "", 1)]),
+    "Arabic-Indic digit": ("٣", [("number", "٣", 0), ("eof", "", 1)]),
+    "superscript after a digit": (
+        "1²", [("number", "1", 0), ("ident", "²", 1), ("eof", "", 2)]
+    ),
+    "superscript alone": ("²", [("ident", "²", 0), ("eof", "", 1)]),
+    "unexpected character": ("a ! b", "unexpected character '!' (at position 2)"),
+}
 
 
 class TestLexer:
@@ -54,6 +89,18 @@ class TestLexer:
     def test_semicolon_ignored(self):
         tokens = tokenize("SELECT x;")
         assert tokens[-2].value == "x"
+
+
+@pytest.mark.parametrize(
+    "text, expected", list(LEXED.values()), ids=list(LEXED)
+)
+def test_token_stream_or_error(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as error:
+            tokenize(text)
+        assert str(error.value) == expected
+    else:
+        assert [(t.kind, t.value, t.position) for t in tokenize(text)] == expected
 
 
 class TestParser:
@@ -140,6 +187,20 @@ class TestParser:
 
 
 class TestResolver:
+    def test_with_query_is_flattened(self, beers_catalog):
+        query = parse_query(
+            "WITH cheap AS (SELECT beer, price FROM Serves WHERE price < 3) "
+            "SELECT c.beer FROM cheap c WHERE c.price > 1",
+            beers_catalog,
+        )
+        assert query.to_sql() == (
+            "SELECT c_q1.beer FROM Serves c_q1 "
+            "WHERE (c_q1.price > 1 AND c_q1.price < 3)"
+        )
+
+    def test_parse_query_extended_is_parse_query(self):
+        assert parse_query_extended is parse_query
+
     def test_qualified_resolution(self, beers_catalog):
         query = parse_query(
             "SELECT Serves.beer FROM Serves WHERE Serves.price > 2", beers_catalog

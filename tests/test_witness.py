@@ -450,6 +450,105 @@ class TestHttpWitness:
         assert "witness" not in body
 
 
+#: The guarded TPC-H target divides only where ``l.quantity > 0``; the
+#: unguarded query raises on any row with a zero quantity.
+GUARDED = ("SELECT l.orderkey FROM lineitem l "
+           "WHERE l.quantity > 0 AND l.extendedprice / l.quantity > 1")
+UNGUARDED = ("SELECT l.orderkey FROM lineitem l "
+             "WHERE l.extendedprice / l.quantity > 1")
+#: Raises on every instance with a Serves row.
+DIVIDES_BY_ZERO = "SELECT beer FROM Serves WHERE price > 1/0"
+
+
+class TestQueriesThatRaise:
+    """An instance on which either query raises is never a witness."""
+
+    @pytest.fixture()
+    def tpch_schema(self, tmp_path, tpch_catalog):
+        path = tmp_path / "tpch.json"
+        path.write_text(json.dumps({
+            table.name: [[column.name, column.type.value]
+                         for column in table.columns]
+            for table in tpch_catalog
+        }))
+        return str(path)
+
+    @pytest.fixture()
+    def beers_schema(self, tmp_path):
+        path = tmp_path / "beers.json"
+        path.write_text(json.dumps(SCHEMA))
+        return str(path)
+
+    def test_session_witness_skips_raising_instances(self, tpch_catalog):
+        session = AssignmentSession(tpch_catalog, GUARDED)
+        result = session.grade(UNGUARDED, witness=True)
+        assert result.witness.source == "search"
+        assert result.witness.wrong_result != result.witness.target_result
+
+    def test_always_raising_submission_gets_hints_and_no_witness(
+        self, beers_catalog
+    ):
+        result = AssignmentSession(beers_catalog, TARGET).grade(
+            DIVIDES_BY_ZERO, witness=True
+        )
+        assert result.hints and result.witness is None
+
+    def test_http_grade_and_witness_routes(self, witness_server):
+        host, port = witness_server
+        _, created = _post(host, port, "/assignments",
+                           {"schema": SCHEMA, "target_sql": TARGET})
+        payload = {"assignment_id": created["assignment_id"],
+                   "sql": DIVIDES_BY_ZERO}
+        status, body = _post(host, port, "/grade", {**payload, "witness": True})
+        assert status == 200
+        assert not body["all_passed"] and "witness" not in body
+        status, body = _post(host, port, "/witness", payload)
+        assert (status, body["found"]) == (200, False)
+
+    def test_batch_keeps_the_hints(self, beers_catalog):
+        batch = grade_batch(
+            beers_catalog, TARGET, [DIVIDES_BY_ZERO, WRONG], witness=True
+        )
+        assert batch.errors == 0
+        assert batch.results[0].hints and batch.results[0].witness is None
+        assert batch.results[1].witness is not None
+
+    def test_cli_witness(self, tpch_schema, capsys):
+        from repro.cli import main
+
+        code = main(["witness", "--schema", tpch_schema,
+                     "--target-sql", GUARDED, "--working-sql", UNGUARDED])
+        assert code == 0
+        assert "source: search" in capsys.readouterr().out
+
+    def test_cli_witness_for_always_raising_submission(
+        self, beers_schema, capsys
+    ):
+        from repro.cli import main
+
+        code = main(["witness", "--schema", beers_schema,
+                     "--target-sql", TARGET, "--working-sql", DIVIDES_BY_ZERO])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("No witness found")
+
+    def test_cli_hint_witness_text(self, tpch_schema, capsys):
+        from repro.cli import main
+
+        code = main(["hint", "--schema", tpch_schema, "--target-sql",
+                     GUARDED, "--working-sql", UNGUARDED, "--witness-text"])
+        assert code == 0
+        assert "On this database your query returns" in capsys.readouterr().out
+
+    def test_cli_verify(self, tpch_schema, capsys):
+        from repro.cli import main
+
+        code = main(["hint", "--schema", tpch_schema, "--target-sql",
+                     UNGUARDED, "--working-sql",
+                     UNGUARDED.replace("> 1", "> 2"), "--verify"])
+        assert code == 0
+        assert "Differential verification: PASS" in capsys.readouterr().out
+
+
 class TestHttpHardening:
     def test_oversized_body_413(self, witness_server):
         host, port = witness_server
