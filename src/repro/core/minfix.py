@@ -234,9 +234,9 @@ def _components(atoms, context):
     ]
 
 
-def min_fix(lower, upper, solver, context=()):
-    """``MinFix`` (Algorithm 6): a smallest formula within ``[l*, u*]``."""
-    # Degenerate bounds first: they admit a constant.
+def _bounds_table(lower, upper, solver, context):
+    """MinFix's prologue: the constant a degenerate bound admits, or the
+    bound's ``(mapping, table)`` within the ``MAX_UNIQUE_ATOMS`` budget."""
     if solver.is_valid(lower, context):
         return TRUE
     if solver.is_unsatisfiable(upper, context):
@@ -247,7 +247,15 @@ def min_fix(lower, upper, solver, context=()):
             f"MinFix over {mapping.num_vars} unique atoms exceeds the "
             f"{MAX_UNIQUE_ATOMS}-atom truth-table budget"
         )
-    table = build_truth_table(mapping, lower, upper, solver, context)
+    return mapping, build_truth_table(mapping, lower, upper, solver, context)
+
+
+def min_fix(lower, upper, solver, context=()):
+    """``MinFix`` (Algorithm 6): a smallest formula within ``[l*, u*]``."""
+    built = _bounds_table(lower, upper, solver, context)
+    if isinstance(built, BoolConst):
+        return built
+    mapping, table = built
     return min_bool_exp(table, mapping.atoms)
 
 
@@ -257,14 +265,10 @@ def min_fix_pos(lower, upper, solver, context=()):
     Used by ``DistributeFixes`` when the repaired children share an AND
     parent (Section 5.2): minimize the complement as SOP and negate.
     """
-    if solver.is_valid(lower, context):
-        return TRUE
-    if solver.is_unsatisfiable(upper, context):
-        return FALSE
-    mapping = map_atom_preds([lower, upper], solver, context)
-    if mapping.num_vars > MAX_UNIQUE_ATOMS:
-        raise SolverLimitError("MinFix (POS) atom budget exceeded")
-    table = build_truth_table(mapping, lower, upper, solver, context)
+    built = _bounds_table(lower, upper, solver, context)
+    if isinstance(built, BoolConst):
+        return built
+    mapping, table = built
     on, dont_care = table.bitsets()
     flipped = TruthTable.from_bitsets(table.num_vars, mapping.full ^ on, dont_care)
     implicants = minimize_table(flipped)

@@ -20,11 +20,10 @@ SMT loop exercises:
 * **first-UIP conflict analysis** with non-chronological backjumping;
 * **VSIDS branching** (a lazy max-heap of ``(-activity, var)`` that
   tolerates stale entries) and **phase saving** (default phase False);
-* **incremental solving with a kept trail** -- clauses, learned clauses
-  and saved phases persist across ``solve`` calls, and the trail of a SAT
-  result is kept: a clause added before the next call unwinds it only as
-  far as the clause forces, which is what the DPLL(T) loop's blocking
-  clauses rely on.
+* **incremental solving** -- clauses, learned clauses, VSIDS activity
+  and saved phases persist across ``solve`` calls; a clause added between
+  calls (the DPLL(T) loop's blocking clauses) restarts the search at
+  level 0, and the saved phases steer it back towards the last model.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ _ACTIVITY_LIMIT = 1e100
 
 
 class SatSolver:
-    """Incremental CDCL solver (arena, watched literals, VSIDS, kept trail)."""
+    """Incremental CDCL solver (arena, watched literals, VSIDS, phases)."""
 
     def __init__(self):
         self._arena = []  # [size, lit0, .., litn-1] per clause; cref -> lit0
@@ -103,14 +102,14 @@ class SatSolver:
     def add_clause(self, literals):
         """Add a clause; an empty clause makes the database UNSAT.
 
-        Clauses may be added between ``solve`` calls: watch lists,
-        learned clauses and saved phases are kept, and the kept trail is
-        unwound only as far as the new clause forces.  A clause unit
-        under the current assignment is asserted in place.  A clause the
-        assignment falsifies backjumps to the deepest level where it is
-        unit and is asserted there, or -- with several literals at its
-        deepest level -- to just below that level.  Literals false at
-        level 0 stay in the body but are never watched.
+        Clauses may be added between ``solve`` calls: the solver first
+        backtracks to level 0, keeping its watch lists, learned clauses,
+        VSIDS activity and saved phases.  A clause satisfied at level 0 is
+        dropped, and one with two or more unassigned literals is watched
+        on the first two in clause order.  A unit clause waits in
+        ``_pending`` for the next ``solve``; a clause every literal of
+        which is false at level 0 makes the database UNSAT.  Literals
+        false at level 0 stay in the body but are never watched.
         """
         if len(set(map(abs, literals))) != len(literals):
             # Duplicate literals or a tautology: normalise through a set.
@@ -118,70 +117,23 @@ class SatSolver:
             if len(set(map(abs, litset))) != len(litset):
                 return  # tautology
             literals = list(litset)
-        top_var = max(map(abs, literals), default=0)
-        if top_var > self._num_vars:
-            self.ensure_vars(top_var)
+        self.ensure_vars(max(map(abs, literals), default=0))
+        self._backtrack(0)
         assign = self._assign
-        levels = self._levels
-        while True:
-            # Count the non-false literals (the first two are the watch
-            # candidates) and the false ones above level 0, tracking the
-            # first literal at each of the two deepest false levels.
-            nf_count = f_count = 0
-            w0 = w1 = 0
-            top = second = 0
-            deepest = runner = 0
-            for lit in literals:
-                value = assign[lit]
-                if value is not False:
-                    if value and not levels[lit if lit > 0 else -lit]:
-                        return  # satisfied at level 0
-                    if nf_count:
-                        w1 = w1 or lit
-                    else:
-                        w0 = lit
-                    nf_count += 1
-                    continue
-                lvl = levels[lit if lit > 0 else -lit]
-                if not lvl:
-                    continue
-                f_count += 1
-                if lvl > top:
-                    second, runner = top, deepest
-                    top, deepest = lvl, lit
-                elif lvl > second:
-                    second, runner = lvl, lit
-            if nf_count >= 2:
-                self._attach(
-                    literals if nf_count == len(literals) else
-                    [w0, w1] + [q for q in literals if q != w0 and q != w1]
-                )
-                return
-            if not f_count:
-                # Empty or unit once level-0 facts apply.
-                self._backtrack(0)
-                if nf_count:
-                    self._pending.append(w0)
-                else:
-                    self._unsat = True
-                return
-            if nf_count:
-                # Unit (or already satisfied) under the current assignment:
-                # watch the non-false literal and the deepest false one.
-                ref = self._attach(
-                    [w0, deepest]
-                    + [q for q in literals if q != w0 and q != deepest]
-                )
-                if assign[w0] is None:
-                    self._enqueue(w0, ref)
-                return
-            if f_count == 1:
-                self._backtrack(0)
-                self._pending.append(deepest)
-                return
-            # Falsified: ``second < top`` means one literal sits at the
-            # deepest level, so the clause is unit at ``second``.
-            self._backtrack(second if second < top else top - 1)
+        free = []
+        for lit in literals:
+            value = assign[lit]
+            if value:
+                return  # satisfied at level 0
+            if value is None:
+                free.append(lit)
+        if len(free) >= 2:
+            w0, w1 = free[:2]
+            self._attach([w0, w1] + [q for q in literals if q != w0 and q != w1])
+        elif free:
+            self._pending.append(free[0])
+        else:
+            self._unsat = True
 
     def _attach(self, literals):
         """Append a clause to the arena and watch its first two literals."""
@@ -201,22 +153,21 @@ class SatSolver:
     def solve(self):
         """Return a model as {var: bool}, or None if unsatisfiable.
 
-        Clauses, learned clauses and saved phases persist across calls,
-        and so does the trail of a SAT result (see :meth:`add_clause`).
+        Clauses, learned clauses and saved phases persist across calls;
+        the trail of a SAT result stays until :meth:`add_clause` (which
+        leaves the solver at level 0) is called.
         """
         self.stats["solve_calls"] += 1
         self._last_model = None
         if self._unsat:
             return None
-        if self._pending:
-            self._backtrack(0)
-            while self._pending:
-                if not self._enqueue(self._pending.pop()):
-                    self._unsat = True
-                    return None
-            if self._propagate():
+        while self._pending:
+            if not self._enqueue(self._pending.pop()):
                 self._unsat = True
                 return None
+        if self._propagate():  # only the pending units are unpropagated
+            self._unsat = True
+            return None
         return self._search()
 
     def _search(self):
@@ -242,7 +193,7 @@ class SatSolver:
             num = self._num_vars
             if len(trail) == num:
                 # Every variable is assigned, so the trail is the model.  It
-                # is kept for the next call; phases are saved as it pops.
+                # stays until the next add_clause; phases are saved as it pops.
                 self._last_model = dict(zip(range(1, num + 1), assign[1:num + 1]))
                 return dict(self._last_model)
             var = heappop(heap)[1]

@@ -7,8 +7,9 @@ subscripted primitives ``IsSatisfiable_C`` etc.
 
 Architecture: the propositional abstraction of the input is Tseitin-encoded
 and handed to the DPLL core; each propositional model is checked against
-the combined theory (linear arithmetic + strings); theory conflicts are
-minimized (deletion-based core shrinking) and fed back as blocking clauses.
+the combined theory (linear arithmetic + strings) one variable-disjoint
+part at a time; on a conflict the first inconsistent part is fed back as a
+blocking clause.
 This is complete for the linear-rational fragment and sound-for-UNSAT
 everywhere, which is the guarantee Qr-Hint's correctness requires.
 """
@@ -52,8 +53,6 @@ _MISS = object()  # cache-miss sentinel (None is not a legal verdict)
 _CACHE_LIMIT = 200_000
 #: Theory-rejected models :meth:`Solver.find_model` blocks before giving up.
 _MAX_MODEL_ATTEMPTS = 32
-#: Consecutive failed deletions after which ``_shrink_core`` stops.
-_MAX_CORE_STALL = 8
 
 #: Facade counter <- SAT-core counter, folded in per DPLL(T) loop.
 _SAT_COUNTERS = (
@@ -304,11 +303,11 @@ class Solver:
         """The lazy DPLL(T) loop behind every primitive.
 
         Yields the literal tuple of each theory-consistent propositional
-        model of ``sat``, atoms in ascending SAT variable order
-        (``_shrink_core`` sorts stably, so this order decides the cores,
-        the blocking clauses and the witnesses).  A theory conflict is blocked in place, so the one persistent SAT
-        core keeps its watch lists, learned clauses and saved phases
-        across rounds.  Returns once ``sat`` is UNSAT; raises
+        model of ``sat``, atoms in ascending SAT variable order (this
+        order decides the parts, the blocking clauses and the witnesses).
+        A theory conflict is blocked in the one persistent SAT core, which
+        keeps its watch lists, learned clauses and saved phases across
+        rounds.  Returns once ``sat`` is UNSAT; raises
         :class:`SolverLimitError` after ``max_conflicts`` rounds.  The
         SAT core's counters move into ``stats`` as a delta when the loop
         ends: it returns, it raises, or the caller stops iterating.
@@ -334,35 +333,33 @@ class Solver:
         """One theory-lemma round of the DPLL(T) loop.
 
         Checks the propositional model's literal conjunction against the
-        theory; on conflict the minimized core is blocked in the SAT core.
-        Returns True iff the model was theory-consistent.  The
+        theory; on conflict the first inconsistent part is blocked in the
+        SAT core.  Returns True iff the model was theory-consistent.  The
         traced variant records one ``solver.theory_round`` span per round;
         the production path (no active trace) stays span-free.
         """
         if not TRACER.enabled:
-            if self._theory_ok(literals):
-                return True
-            core = self._shrink_core(literals)
-            _block_literals(sat, atom_vars, core)
-            return False
+            part = self._inconsistent_part(literals)
+            if part is not None:
+                _block_literals(sat, atom_vars, part)
+            return part is None
         with TRACER.span("solver.theory_round") as span:
             span.set(literals=len(literals))
-            if self._theory_ok(literals):
-                span.set(consistent=True)
-                return True
-            core = self._shrink_core(literals)
-            span.set(consistent=False, core=len(core))
-            _block_literals(sat, atom_vars, core)
-            return False
+            part = self._inconsistent_part(literals)
+            span.set(consistent=part is None)
+            if part is not None:
+                span.set(core=len(part))
+                _block_literals(sat, atom_vars, part)
+            return part is None
 
-    def _theory_ok(self, literals):
-        """Theory consistency of a literal conjunction, decided per part.
+    def _inconsistent_part(self, literals):
+        """The first theory-inconsistent part of ``literals``, or None.
 
-        The literals split into parts that share no unknown
-        (:func:`~repro.solver.theory.independent_parts`); the conjunction
-        is consistent iff every part is.  Each part's verdict is memoized
-        in ``_theory_cache``, so a part shared by many literal sets -- the
-        context's, or a truth-table component's -- is decided once per
+        The parts share no unknown (:func:`independent_parts`), so the
+        conjunction is consistent iff every part is, and an inconsistent
+        part is a sound blocking lemma as it stands.  Part verdicts are
+        memoized in ``_theory_cache``: a part shared by many literal sets
+        (the context's, a truth-table component's) is decided once per
         solver.  ``theory_calls`` counts part decisions and
         ``theory_cache_hits`` parts served from the cache.
         """
@@ -376,38 +373,8 @@ class Solver:
             else:
                 stats["theory_cache_hits"] += 1
             if not verdict:
-                return False
-        return True
-
-    def _shrink_core(self, literals):
-        """Deletion-based minimization of an inconsistent literal set.
-
-        Literals are dropped longest-payload-first: complex atoms are the
-        least likely to be essential to the conflict, so trying them first
-        shrinks the core fastest.  Once ``_MAX_CORE_STALL`` consecutive
-        deletion attempts fail the core has (almost certainly) stopped
-        shrinking and we accept it, cutting theory calls on large
-        conflicts; any inconsistent superset is still a sound blocking
-        clause.  A repeated shrink re-decides only parts that
-        ``_theory_cache`` already holds.
-        """
-        core = list(literals)
-        if len(core) > 24:  # too costly to shrink; block the full assignment
-            return core
-        core.sort(key=lambda literal: len(str(literal[0])), reverse=True)
-        i = 0
-        stall = 0
-        while i < len(core):
-            candidate = core[:i] + core[i + 1:]
-            if candidate and not self._theory_ok(tuple(candidate)):
-                core = candidate
-                stall = 0
-            else:
-                i += 1
-                stall += 1
-                if stall >= _MAX_CORE_STALL:
-                    break
-        return core
+                return part
+        return None
 
     def _abstract(self, formula, atom_vars, builder):
         """Build a Tseitin skeleton, abstracting atoms to variables.

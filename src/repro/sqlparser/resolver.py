@@ -108,7 +108,10 @@ class Resolver:
         if isinstance(expr, ast.StringLit):
             return Const(expr.value, SqlType.STRING)
         if isinstance(expr, ast.UnaryExpr) and expr.op == "-":
-            return Neg(self._resolve_term(expr.operand, allow_agg, inside_agg))
+            operand = self._resolve_term(expr.operand, allow_agg, inside_agg)
+            if not operand.type.is_numeric:
+                raise TypeError_(f"arithmetic over a non-numeric operand: {expr}")
+            return Neg(operand)
         if isinstance(expr, ast.BinaryExpr) and expr.op in ("+", "-", "*", "/"):
             left = self._resolve_term(expr.left, allow_agg, inside_agg)
             right = self._resolve_term(expr.right, allow_agg, inside_agg)

@@ -5,9 +5,9 @@ Three regression areas:
 * **enumeration equivalence fuzz** -- blocking-clause model enumeration
   must produce exactly the brute-force model set and never repeat a
   model;
-* **add/solve interleavings** -- clauses added against a kept trail,
-  interleaved with solves, never leak a model that violates an added
-  clause;
+* **add/solve interleavings** -- clauses added after a SAT result (each
+  restarts the search at level 0), interleaved with solves, never leak a
+  model that violates an added clause;
 * **MinFix infeasible assignments** -- the ``core_pruned_subtrees``
   counter fires on infeasible atom combinations.
 """
@@ -94,7 +94,7 @@ class TestEnumerationEquivalenceFuzz:
 
 class TestTrailSavingInvariants:
     def test_add_clause_solve_interleavings_stay_correct(self):
-        # Clauses added against a kept trail must never leak into a model
+        # Clauses added after a SAT result must never leak into a model
         # that violates them.
         rng = random.Random(0x7A11)
         for _ in range(80):

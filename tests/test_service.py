@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.pipeline import grade
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.obs import REGISTRY, TRACER
 from repro.service import (
     ArtifactCache,
@@ -27,6 +27,7 @@ TARGET = "SELECT beer FROM Serves WHERE price > 2"
 WRONG = "SELECT beer FROM Serves WHERE price >= 2"
 #: ``²`` is a digit to ``str.isdigit`` but not a decimal one.
 SUPERSCRIPT = "SELECT beer FROM Serves WHERE price > 1²"
+NEGATED_STRING = "SELECT -beer FROM Serves WHERE price > 2"
 
 
 class TestArtifactCache:
@@ -161,6 +162,11 @@ class TestAssignmentSession:
         session = AssignmentSession(beers_catalog, TARGET)
         with pytest.raises(ParseError, match="unexpected trailing input '²'"):
             session.grade(SUPERSCRIPT)
+
+    def test_negated_string_is_a_type_error(self, beers_catalog):
+        session = AssignmentSession(beers_catalog, TARGET)
+        with pytest.raises(ReproError, match="non-numeric operand"):
+            session.grade(NEGATED_STRING, witness=True)
 
     def test_solver_stats_are_session_deltas(self, beers_catalog):
         shared_solver_session = AssignmentSession(beers_catalog, TARGET)
@@ -411,6 +417,14 @@ class TestHttpServer:
             {"assignment_id": created["assignment_id"], "sql": SUPERSCRIPT},
         )
         assert status == 400 and body["kind"] == "ParseError"
+
+    def test_negated_string_400(self, client):
+        _, created = self._create(client)
+        status, body = client.post(
+            "/witness",
+            {"assignment_id": created["assignment_id"], "sql": NEGATED_STRING},
+        )
+        assert status == 400 and body["kind"] == "TypeError_"
 
     def test_duplicate_assignment_id_409(self, client):
         assert self._create(client, assignment_id="hw")[0] == 201

@@ -92,9 +92,9 @@ class TestFuzzAgainstBruteForce:
                     assert any(model[abs(l)] == (l > 0) for l in clause)
 
     def test_incremental_fuzz(self):
-        # Interleave clause addition and solves on one solver, against the
-        # kept trail of the last SAT result; every answer must match a
-        # from-scratch brute force.
+        # Interleave clause addition and solves on one solver, each added
+        # clause restarting the search at level 0; every answer must match
+        # a from-scratch brute force.
         rng = random.Random(0xFEED)
         for _ in range(100):
             n = rng.randint(2, 10)
@@ -133,6 +133,29 @@ class TestIncrementalAssumptions:
             )
         assert len(seen) == 8
 
+    def test_added_clause_restarts_at_level_zero(self):
+        # 1 v 2 v 3 and 1 v 2 v -3: deciding 1 and 2 false conflicts on 3,
+        # so the first solve learns 2 v 1 and then decides 3, 4 and 5 at
+        # levels 2-4.  Its model falsifies 4 v 5, which is unit at level 3;
+        # adding it must still leave the solver at level 0.
+        solver = SatSolver()
+        solver.ensure_vars(5)
+        clauses = [[1, 2, 3], [1, 2, -3]]
+        for clause in clauses:
+            solver.add_clause(clause)
+        model = solver.solve()
+        assert model == {1: False, 2: True, 3: True, 4: False, 5: False}
+        assert solver.stats["learned_clauses"] == 1
+        solver.add_clause([4, 5])
+        assert solver._trail_lim == [] and solver._pending == []
+        assert solver.stats["learned_clauses"] == 1
+        assert {frozenset(c) for c in _arena_clauses(solver)} == {
+            frozenset(c) for c in [*clauses, [2, 1], [4, 5]]
+        }
+        model = solver.solve()
+        for clause in [*clauses, [4, 5]]:
+            assert any(model[abs(l)] == (l > 0) for l in clause)
+
     def test_learned_clauses_accumulate(self):
         # Pigeonhole PHP(3, 2) forces genuine conflicts: var 2(i-1)+j means
         # pigeon i sits in hole j.
@@ -157,6 +180,16 @@ class TestIncrementalAssumptions:
         for key in ("solve_calls", "decisions", "propagations",
                     "conflicts", "learned_clauses"):
             assert key in solver.stats
+
+
+def _arena_clauses(solver):
+    """Every clause in ``solver``'s arena, learned ones included."""
+    arena, index, clauses = solver._arena, 0, []
+    while index < len(arena):
+        size = arena[index]
+        clauses.append(arena[index + 1:index + 1 + size])
+        index += size + 1
+    return clauses
 
 
 class TestNonRecursive:

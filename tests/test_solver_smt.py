@@ -4,13 +4,13 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.logic.formulas import Comparison, FALSE, TRUE, neg
+from repro.logic.formulas import Comparison, FALSE, TRUE, conj, neg
 from repro.logic.terms import AggCall, add, const, div, intvar, mul, strvar
 from repro.solver import Solver, smt
 from repro.solver.atoms import CanonicalLiteral, canonicalize
 from repro.solver.theory import check_literals, independent_parts
 
-A, B, C = intvar("A"), intvar("B"), intvar("C")
+A, B, C, D = intvar("A"), intvar("B"), intvar("C"), intvar("D")
 S, T = strvar("S"), strvar("T")
 OPS = ["=", "<>", "<", "<=", ">", ">="]
 
@@ -160,9 +160,9 @@ class TestCaching:
 
         lit = canonicalize(cmp("<", A, B))
         literals = ((lit.atom, lit.positive),)
-        assert local._theory_ok(literals)
+        assert local._inconsistent_part(literals) is None
         calls = local.stats["theory_calls"]
-        assert local._theory_ok(literals)
+        assert local._inconsistent_part(literals) is None
         assert local.stats["theory_calls"] == calls  # served from cache
         assert local.stats["theory_cache_hits"] >= 1
 
@@ -284,7 +284,7 @@ class TestTheoryParts:
         assert [len(part) for part in independent_parts(literals)] == [3]
         assert [len(part) for part in independent_parts(literals[:2])] == [1, 1]
         assert not check_literals(literals)
-        assert not Solver()._theory_ok(literals)
+        assert Solver()._inconsistent_part(literals) == list(literals)
 
     def test_a_shared_part_is_decided_once(self):
         less, is_a, is_b = _literals([
@@ -293,11 +293,29 @@ class TestTheoryParts:
             (cmp("=", S, const("b")), False),
         ])
         local = Solver()
-        assert local._theory_ok((less, is_a))
+        assert local._inconsistent_part((less, is_a)) is None
         assert local.stats["theory_calls"] == 2
-        assert not local._theory_ok((less, is_a, is_b))
+        assert local._inconsistent_part((less, is_a, is_b)) == [is_a, is_b]
         assert local.stats["theory_calls"] == 3
         assert local.stats["theory_cache_hits"] == 1
+
+    def test_the_whole_inconsistent_part_is_blocked(self, monkeypatch):
+        # a<b, b<c, c<a, a<d share unknowns, so they form one part: its
+        # 3-cycle alone is inconsistent, but the conflict rule blocks the
+        # part as it is, not a core shrunk out of it.
+        blocked, block = [], smt._block_literals
+
+        def recording(sat, atom_vars, literals):
+            blocked.append(list(literals))
+            block(sat, atom_vars, literals)
+
+        monkeypatch.setattr(smt, "_block_literals", recording)
+        cycle = [cmp("<", A, B), cmp("<", B, C), cmp("<", C, A)]
+        formula = conj(*cycle, cmp("<", A, D))
+        literals = _literals([(c, False) for c in formula.operands])
+        assert [len(part) for part in independent_parts(literals)] == [4]
+        assert Solver().is_unsatisfiable(formula)
+        assert blocked == [list(literals)]
 
     @settings(max_examples=200, deadline=None)
     @given(literal_sets, st.data())
@@ -306,12 +324,14 @@ class TestTheoryParts:
         fresh solver and on one whose cache already holds other sets
         (reorderings of parts of this one among them)."""
         whole = check_literals(literals)
-        assert Solver()._theory_ok(literals) == whole
+        part = Solver()._inconsistent_part(literals)
+        assert (part is None) == whole
+        assert part is None or not check_literals(part)
         warm = Solver()
         for _ in range(data.draw(st.integers(1, 3))):
             pool = [*literals, *data.draw(literal_sets)]
             earlier = data.draw(st.permutations(pool))
-            warm._theory_ok(tuple(earlier[:data.draw(
+            warm._inconsistent_part(tuple(earlier[:data.draw(
                 st.integers(0, len(earlier))
             )]))
-        assert warm._theory_ok(literals) == whole
+        assert (warm._inconsistent_part(literals) is None) == whole

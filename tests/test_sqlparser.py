@@ -250,6 +250,12 @@ class TestResolver:
         with pytest.raises(TypeError_):
             parse_query("SELECT beer + 1 FROM Serves", beers_catalog)
 
+    def test_negating_a_string_rejected(self, beers_catalog):
+        with pytest.raises(TypeError_, match="non-numeric operand"):
+            parse_query(
+                "SELECT -beer FROM Serves WHERE price > 2", beers_catalog
+            )
+
     def test_aggregate_in_where_rejected(self, beers_catalog):
         with pytest.raises(UnsupportedSQLError):
             parse_query(
